@@ -138,8 +138,6 @@ class ClientState:
 
     client_id: int
     shard: ClientShard
-    params: ModelParams | None = None
-    optimizer: OptimizerState | None = None
     rng_stream: np.random.Generator | None = None
 
 
@@ -276,7 +274,6 @@ def run_round(
         params_i, protos_i, loss_i = client_local_update(
             state, global_params, global_protos, cfg, train_data, round_index
         )
-        state.params = params_i
         results.append((state.client_id, params_i, protos_i, loss_i, float(len(state.shard))))
     if not results:
         raise ValueError("no client has any data; nothing to aggregate")

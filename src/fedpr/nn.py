@@ -207,12 +207,18 @@ def _conv2d_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernel: np.ndarr
     d_bias = dy.sum(axis=(0, 2, 3))
     if not need_dx:
         return d_kernel, d_bias, None
-    d_cols = np.matmul(kernel.reshape(out_c, -1).T, dy_flat).reshape(b, in_c, k, k, ho, wo)
-    dx = np.zeros(x_shape)
+    d_cols = np.matmul(kernel.reshape(out_c, -1).T, dy_flat).reshape(b * in_c, k, k, ho, wo)
+    # col2im in a spatial-major layout, [k, k, H', W', batch*C] and
+    # [H, W, batch*C], so each shifted add runs over whole rows of
+    # W'*batch*C contiguous values; every element still sums its
+    # (di, dj) terms in the same order.
+    d_cols = np.moveaxis(d_cols, 0, -1)
+    h, w = x_shape[2], x_shape[3]
+    dx = np.zeros((h, w, b * in_c))
     for di in range(k):
         for dj in range(k):
-            dx[:, :, di : di + ho, dj : dj + wo] += d_cols[:, :, di, dj]
-    return d_kernel, d_bias, dx
+            dx[di : di + ho, dj : dj + wo] += d_cols[di, dj]
+    return d_kernel, d_bias, np.moveaxis(dx, -1, 0).reshape(x_shape)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -226,27 +232,34 @@ def _check_pool_dims(x: np.ndarray):
         raise DimensionError(f"maxpool2 needs even spatial dims, got {h}x{w}")
 
 
-def _maxpool2_cached(x: np.ndarray):
-    """Pool and remember each window's argmax for the backward pass."""
-    _check_pool_dims(x)
-    b, c, h, w = x.shape
-    grouped = (
-        x.reshape(b, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h // 2, w // 2, 4)
-    )
-    arg = grouped.argmax(axis=-1)
-    out = np.take_along_axis(grouped, arg[..., None], axis=-1)[..., 0]
-    return out, arg
+# Offsets of the four 2x2 window positions, in the row-major order that
+# decides which of several equal maxima receives the gradient.
+_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _pool_views(x: np.ndarray):
+    return [x[:, :, i::2, j::2] for i, j in _POOL_OFFSETS]
 
 
 def _maxpool2_fast(x: np.ndarray) -> np.ndarray:
-    """Pool without tracking argmax (forward-only paths)."""
+    """Pool without tracking the routing index (forward-only paths)."""
     _check_pool_dims(x)
-    return np.maximum(
-        np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-        np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]),
-    )
+    v00, v01, v10, v11 = _pool_views(x)
+    return np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
+
+
+def _maxpool2_cached(x: np.ndarray):
+    """Pool and remember which window position held each maximum.
+
+    The index is the first position, in window order, whose value equals
+    the maximum: the same choice argmax makes, ties included.
+    """
+    out = _maxpool2_fast(x)
+    arg = np.full(out.shape, 3, dtype=np.int8)
+    views = _pool_views(x)
+    for q in (2, 1, 0):  # later positions first, so the earliest match wins
+        arg[views[q] == out] = q
+    return out, arg
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
@@ -258,10 +271,10 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 
 
 def _maxpool2_backward(dy: np.ndarray, arg: np.ndarray, in_shape) -> np.ndarray:
-    b, c, ho, wo = dy.shape
-    grouped = np.zeros((b, c, ho, wo, 4))
-    np.put_along_axis(grouped, arg[..., None], dy[..., None], axis=-1)
-    return grouped.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(in_shape)
+    dx = np.zeros(in_shape)
+    for q, view in enumerate(_pool_views(dx)):
+        view[...] = np.where(arg == q, dy, 0.0)
+    return dx
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]):
@@ -299,20 +312,25 @@ def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]):
 # ---------------------------------------------------------------------------
 
 
-def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True):
-    """Run the stack, optionally recording what each backward pass needs.
+# Forward-only passes run the leading conv layers over this many samples
+# at a time, so their im2col buffers stay cache-sized. The block does not
+# change a conv result (np.matmul runs one GEMM per sample); dense results
+# do depend on the row count, so the dense layers see the whole batch.
+# At 8 each cnn4 cols buffer is about 1 MB. On a Xeon with 2 MB of L2 per
+# core, blocks of 4 to 12 ran the cnn4 forward equally fast, 16 slightly
+# slower, and 32 or the unblocked 512-sample chunk 1.6 to 2 times slower.
+_CONV_BLOCK = 8
 
-    Returns (embeddings[batch, d], logits, caches). The embedding is the
-    activation crossing the extractor boundary, flattened per sample.
-    Forward-only callers pass want_cache=False and get the same values
-    cheaper (no argmax bookkeeping, no retained intermediates).
+
+def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches):
+    """Run layers[lo:hi]; returns (activation, embedding or None).
+
+    With a caches list, appends what each layer's backward pass needs.
     """
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim < 2:
-        raise DimensionError(f"model input must have a batch axis, got shape {a.shape}")
-    emb = a.reshape(a.shape[0], -1) if params.extractor_boundary == 0 else None
-    caches = []
-    for idx, layer in enumerate(params.layers):
+    want_cache = caches is not None
+    emb = None
+    for idx in range(lo, hi):
+        layer = params.layers[idx]
         cache = {"input_shape": a.shape} if want_cache else None
         if layer.kind == "dense":
             flat = a.reshape(a.shape[0], -1) if a.ndim > 2 else a
@@ -343,9 +361,42 @@ def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True)
                 cache["pool_arg"] = arg
             else:
                 a = _maxpool2_fast(a)
-        caches.append(cache)
+        if want_cache:
+            caches.append(cache)
         if idx == params.extractor_boundary - 1:
             emb = a.reshape(a.shape[0], -1)
+    return a, emb
+
+
+def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True):
+    """Run the stack, optionally recording what each backward pass needs.
+
+    Returns (embeddings[batch, d], logits, caches). The embedding is the
+    activation crossing the extractor boundary, flattened per sample.
+    Forward-only callers pass want_cache=False and get the same values
+    cheaper: no routing indices, no retained intermediates, and the
+    leading conv layers run in blocks of _CONV_BLOCK samples.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim < 2:
+        raise DimensionError(f"model input must have a batch axis, got shape {a.shape}")
+    emb = a.reshape(a.shape[0], -1) if params.extractor_boundary == 0 else None
+    caches = [] if want_cache else None
+    start = 0
+    if not want_cache and a.shape[0] > _CONV_BLOCK:
+        while start < len(params.layers) and params.layers[start].kind == "conv":
+            start += 1
+    if start:
+        blocks = [
+            _layers_forward(params, a[i : i + _CONV_BLOCK], 0, start, None)
+            for i in range(0, a.shape[0], _CONV_BLOCK)
+        ]
+        a = np.concatenate([out for out, _ in blocks])
+        if blocks[0][1] is not None:
+            emb = np.concatenate([block_emb for _, block_emb in blocks])
+    a, tail_emb = _layers_forward(params, a, start, len(params.layers), caches)
+    if tail_emb is not None:
+        emb = tail_emb
     return emb, a, caches
 
 
@@ -395,6 +446,45 @@ def _class_vectors(protos) -> dict[int, np.ndarray]:
     raise TypeError(f"unsupported prototype container {type(protos).__name__}")
 
 
+def _prototype_pull(
+    emb: np.ndarray,
+    labels: np.ndarray,
+    vectors: dict[int, np.ndarray],
+    num_classes: int,
+    proto_form: str,
+):
+    """Batch-mean pull term and its gradient w.r.t. the embeddings.
+
+    Each row's prototype is gathered from a [classes, d] matrix; rows whose
+    class has no prototype add nothing to the loss and get a zero gradient.
+    """
+    n, dim = emb.shape
+    table = np.zeros((num_classes, dim))
+    has_proto = np.zeros(num_classes, dtype=bool)
+    for cls, vec in vectors.items():
+        if vec.shape != (dim,):
+            raise DimensionError(
+                f"prototype for class {cls} has shape {vec.shape}, embeddings have dimension {dim}"
+            )
+        if 0 <= cls < num_classes:
+            table[cls] = vec
+            has_proto[cls] = True
+    rows = np.flatnonzero(has_proto[labels])
+    diff = emb[rows] - table[labels[rows]]
+    # vecdot reproduces `diff_i @ diff_i` bit for bit; einsum does not.
+    per_sample = np.vecdot(diff, diff)
+    d_emb = np.zeros_like(emb)
+    if proto_form == "squared":
+        d_emb[rows] = 2.0 * diff / n
+    else:
+        per_sample = np.sqrt(per_sample)
+        moved = per_sample > 0.0  # a zero distance has a zero subgradient
+        d_emb[rows[moved]] = diff[moved] / (per_sample[moved, None] * n)
+    # Sum in sample order: np.sum's pairwise blocks would move low bits.
+    total = float(np.cumsum(per_sample)[-1]) if rows.size else 0.0
+    return total / n, d_emb
+
+
 def loss_and_grad(
     params: ModelParams,
     batch: np.ndarray,
@@ -421,30 +511,10 @@ def loss_and_grad(
     ce_loss, dlogits = softmax_cross_entropy(logits, labels)
 
     vectors = _class_vectors(global_protos)
-    n = emb.shape[0]
     proto_loss = 0.0
     d_emb = None
     if vectors:
-        dim = next(iter(vectors.values())).shape[0]
-        if dim != emb.shape[1]:
-            raise DimensionError(
-                f"prototype dimension {dim} does not match embedding dimension {emb.shape[1]}"
-            )
-        d_emb = np.zeros_like(emb)
-        for i in range(n):
-            vec = vectors.get(int(labels[i]))
-            if vec is None:
-                continue
-            diff = emb[i] - vec
-            if proto_form == "squared":
-                proto_loss += float(diff @ diff)
-                d_emb[i] = 2.0 * diff / n
-            else:
-                dist = math.sqrt(float(diff @ diff))
-                proto_loss += dist
-                if dist > 0.0:
-                    d_emb[i] = diff / (dist * n)
-        proto_loss /= n
+        proto_loss, d_emb = _prototype_pull(emb, labels, vectors, logits.shape[1], proto_form)
 
     total = ce_loss + lam * proto_loss
     inject = d_emb * lam if (d_emb is not None and lam != 0.0) else None

@@ -5,6 +5,7 @@ import pytest
 
 from fedpr.errors import DimensionError, LabelError, NumericError
 from fedpr.nn import (
+    _CONV_BLOCK,
     LayerParams,
     ModelParams,
     OptimizerState,
@@ -19,6 +20,15 @@ from fedpr.nn import (
     relu,
     sgd_momentum_step,
     softmax_cross_entropy,
+)
+from fedpr.nn import (
+    _backward,
+    _conv2d_backward,
+    _conv2d_cached,
+    _forward_cached,
+    _maxpool2_backward,
+    _maxpool2_cached,
+    _prototype_pull,
 )
 
 
@@ -111,6 +121,24 @@ def test_conv_kernel_larger_than_input_raises():
         conv2d_forward(np.ones((1, 1, 5, 5)), np.zeros(1), np.ones((1, 1, 4, 4)))
 
 
+def test_conv_backward_input_grad_matches_shifted_add_loop():
+    # The plain loop over kernel offsets on the [batch, C, H, W] layout is
+    # the oracle: the input gradient must agree with it bit for bit, so
+    # every element sums its (di, dj) terms in the same order.
+    rng = np.random.default_rng(20)
+    kernel = rng.normal(size=(3, 2, 3, 3))
+    x = rng.normal(size=(4, 2, 7, 6))
+    dy = rng.normal(size=(4, 3, 5, 4))
+    _, cols = _conv2d_cached(kernel, np.zeros(3), x)
+    _, _, dx = _conv2d_backward(dy, cols, x.shape, kernel, need_dx=True)
+    d_cols = np.matmul(kernel.reshape(3, -1).T, dy.reshape(4, 3, -1)).reshape(4, 2, 3, 3, 5, 4)
+    expect = np.zeros(x.shape)
+    for di in range(3):
+        for dj in range(3):
+            expect[:, :, di : di + 5, dj : dj + 4] += d_cols[:, :, di, dj]
+    assert np.array_equal(dx, expect)
+
+
 # --- relu / maxpool ---------------------------------------------------------
 
 
@@ -150,6 +178,53 @@ def test_maxpool_matches_window_scan():
 def test_maxpool_odd_dims_raise():
     with pytest.raises(DimensionError, match="even"):
         maxpool2(np.ones((1, 1, 3, 4)))
+
+
+WINDOW_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def window_scan_pool(x, dy):
+    """Brute-force 2x2 pool: scan each window in row-major order and keep
+    the first maximum; return (out, routing index, input gradient)."""
+    out = np.zeros((x.shape[0], x.shape[1], x.shape[2] // 2, x.shape[3] // 2))
+    arg = np.zeros(out.shape, dtype=np.int64)
+    dx = np.zeros(x.shape)
+    for b, c, i, j in np.ndindex(out.shape):
+        best = None
+        for q, (di, dj) in enumerate(WINDOW_ORDER):
+            value = x[b, c, 2 * i + di, 2 * j + dj]
+            if best is None or value > best:
+                best, arg[b, c, i, j] = value, q
+        out[b, c, i, j] = best
+        di, dj = WINDOW_ORDER[arg[b, c, i, j]]
+        dx[b, c, 2 * i + di, 2 * j + dj] = dy[b, c, i, j]
+    return out, arg, dx
+
+
+def tied_pool_input(rng):
+    # Half-integer values after a ReLU: most windows hold ties, many are
+    # all zero. The pinned windows cover every pair of tied positions.
+    x = np.maximum(np.round(rng.normal(size=(3, 2, 6, 8)) * 2) / 2, 0.0)
+    x[0, 0, 0:2, 0:2] = 0.0
+    x[0, 1, 2:4, 2:4] = 0.75
+    x[1, 0, 0:2, 2:4] = [[0.25, 1.5], [1.5, 0.5]]
+    x[1, 1, 4:6, 0:2] = [[1.0, 0.5], [0.5, 1.0]]
+    x[2, 0, 2:4, 4:6] = [[0.0, 0.0], [2.0, 2.0]]
+    x[2, 1, 0:2, 6:8] = [[0.0, 3.0], [0.0, 3.0]]
+    return x
+
+
+def test_maxpool_routes_ties_to_first_max_in_window_order():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        x = tied_pool_input(rng)
+        dy = rng.normal(size=(3, 2, 3, 4))
+        expect_out, expect_arg, expect_dx = window_scan_pool(x, dy)
+        out, arg = _maxpool2_cached(x)
+        assert np.array_equal(out, expect_out)
+        assert np.array_equal(arg, expect_arg)
+        assert np.array_equal(out, maxpool2(x))
+        assert np.array_equal(_maxpool2_backward(dy, arg, x.shape), expect_dx)
 
 
 # --- softmax cross-entropy --------------------------------------------------
@@ -240,6 +315,31 @@ def test_model_forward_bitwise_deterministic():
     emb1, logits1 = model_forward(params, x)
     emb2, logits2 = model_forward(params, x)
     assert np.array_equal(emb1, emb2) and np.array_equal(logits1, logits2)
+
+
+@pytest.mark.parametrize(
+    "batch", sorted({1, max(1, _CONV_BLOCK - 1), _CONV_BLOCK, _CONV_BLOCK + 1, 256, 257, 512})
+)
+def test_model_forward_matches_cached_forward_bitwise_cnn4(batch):
+    # model_forward runs the convs in blocks; training runs them whole.
+    rng = np.random.default_rng(23)
+    params = build_cnn4(rng)
+    x = rng.random((batch, 1, 28, 28))
+    emb, logits = model_forward(params, x)
+    cached_emb, cached_logits, _ = _forward_cached(params, x, want_cache=True)
+    assert np.array_equal(emb, cached_emb)
+    assert np.array_equal(logits, cached_logits)
+
+
+def test_model_forward_matches_cached_forward_bitwise_mlp2():
+    rng = np.random.default_rng(24)
+    params = build_mlp2(rng, 784, 10)
+    for batch in (1, 8, 257):
+        x = rng.random((batch, 784))
+        emb, logits = model_forward(params, x)
+        cached_emb, cached_logits, _ = _forward_cached(params, x, want_cache=True)
+        assert np.array_equal(emb, cached_emb)
+        assert np.array_equal(logits, cached_logits)
 
 
 def test_model_forward_shape_mismatch():
@@ -342,6 +442,78 @@ def test_loss_prototype_dimension_mismatch():
     params = build_mlp2(rng, 4, 2, hidden=6)
     with pytest.raises(DimensionError, match="dimension"):
         loss_and_grad(params, rng.normal(size=(2, 4)), [0, 1], {0: np.zeros(5)}, 1.0)
+
+
+def loop_prototype_pull(emb, labels, vectors, proto_form):
+    """The per-sample loop the vectorized pull replaced, kept as its oracle."""
+    n = emb.shape[0]
+    proto_loss = 0.0
+    d_emb = np.zeros_like(emb)
+    for i in range(n):
+        vec = vectors.get(int(labels[i]))
+        if vec is None:
+            continue
+        diff = emb[i] - vec
+        if proto_form == "squared":
+            proto_loss += float(diff @ diff)
+            d_emb[i] = 2.0 * diff / n
+        else:
+            dist = math.sqrt(float(diff @ diff))
+            proto_loss += dist
+            if dist > 0.0:
+                d_emb[i] = diff / (dist * n)
+    return proto_loss / n, d_emb
+
+
+def random_pull_case(rng, n, dim, classes):
+    emb = np.maximum(rng.normal(size=(n, dim)), 0.0)
+    labels = rng.integers(0, classes, size=n)
+    present = rng.permutation(classes)[: int(rng.integers(1, classes + 1))]
+    vectors = {int(c): rng.normal(size=dim) for c in sorted(present)}
+    # exact zero distances for some rows that have a prototype
+    for i in np.flatnonzero(rng.random(n) < 0.2):
+        if int(labels[i]) in vectors:
+            vectors[int(labels[i])] = emb[i].copy()
+    return emb, labels, vectors
+
+
+@pytest.mark.parametrize("proto_form", ["squared", "unsquared"])
+def test_prototype_pull_matches_loop_bitwise(proto_form):
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        n = int(rng.integers(1, 20))
+        dim = int(rng.choice([1, 5, 50, 128]))
+        emb, labels, vectors = random_pull_case(rng, n, dim, 10)
+        loss, d_emb = _prototype_pull(emb, labels, vectors, 10, proto_form)
+        expect_loss, expect_d_emb = loop_prototype_pull(emb, labels, vectors, proto_form)
+        assert loss == expect_loss
+        assert np.array_equal(d_emb, expect_d_emb)
+
+
+@pytest.mark.parametrize("proto_form", ["squared", "unsquared"])
+@pytest.mark.parametrize("model", ["cnn4", "mlp2"])
+def test_loss_grads_match_loop_pull_bitwise(model, proto_form):
+    rng = np.random.default_rng(26)
+    if model == "cnn4":
+        params = build_cnn4(rng, num_classes=4, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
+        x = rng.normal(size=(8, 1, 14, 14))
+    else:
+        params = build_mlp2(rng, 6, 4, hidden=9)
+        x = rng.normal(size=(8, 6))
+    y = np.array([0, 1, 2, 0, 1, 3, 0, 2])
+    emb, logits, caches = _forward_cached(params, x)
+    # class 0 sits exactly on sample 0; class 3 has no prototype
+    vectors = {0: emb[0].copy(), 1: rng.normal(size=emb.shape[1]), 2: rng.normal(size=emb.shape[1])}
+    ce, dlogits = softmax_cross_entropy(logits, y)
+    expect_pull, d_emb = loop_prototype_pull(emb, y, vectors, proto_form)
+    expect_grads = _backward(params, caches, dlogits, d_emb * 0.5)
+
+    report = loss_and_grad(params, x, y, vectors, lam=0.5, proto_form=proto_form)
+    assert report.ce_loss == ce
+    assert report.proto_loss == expect_pull
+    assert report.total_loss == ce + 0.5 * expect_pull
+    for (a_w, a_b), (e_w, e_b) in zip(report.grads, expect_grads):
+        assert np.array_equal(a_w, e_w) and np.array_equal(a_b, e_b)
 
 
 def test_loss_finiteness_on_random_inputs():
