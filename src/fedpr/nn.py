@@ -209,9 +209,9 @@ def _conv2d_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernel: np.ndarr
         return d_kernel, d_bias, None
     d_cols = np.matmul(kernel.reshape(out_c, -1).T, dy_flat).reshape(b * in_c, k, k, ho, wo)
     # col2im in a spatial-major layout, [k, k, H', W', batch*C] and
-    # [H, W, batch*C], so each shifted add runs over whole rows of
-    # W'*batch*C contiguous values; every element still sums its
-    # (di, dj) terms in the same order.
+    # [H, W, batch*C], so each shifted add writes whole destination rows
+    # of W'*batch*C contiguous values (the d_cols source is a strided
+    # view); every element still sums its (di, dj) terms in the same order.
     d_cols = np.moveaxis(d_cols, 0, -1)
     h, w = x_shape[2], x_shape[3]
     dx = np.zeros((h, w, b * in_c))
@@ -471,7 +471,8 @@ def _prototype_pull(
             has_proto[cls] = True
     rows = np.flatnonzero(has_proto[labels])
     diff = emb[rows] - table[labels[rows]]
-    # vecdot reproduces `diff_i @ diff_i` bit for bit; einsum does not.
+    # vecdot (numpy >= 2.0) reproduces `diff_i @ diff_i` bit for bit;
+    # einsum does not.
     per_sample = np.vecdot(diff, diff)
     d_emb = np.zeros_like(emb)
     if proto_form == "squared":

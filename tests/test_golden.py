@@ -9,6 +9,11 @@ evaluation moves these values; a pure speed-up must leave them alone.
 The runs execute in a child process with BLAS pinned to one thread,
 because the mlp2 state hashes differently under two OpenBLAS threads.
 Run this file directly to print the current values.
+
+The values were pinned under numpy 2.4.6 with OpenBLAS 0.3.31. They also
+depend on the BLAS build (its dgemm and ddot kernels for small shapes),
+so on another numpy or OpenBLAS build a mismatch may come from the
+libraries rather than the code; the failure message names both versions.
 """
 
 from __future__ import annotations
@@ -114,6 +119,11 @@ def golden_values() -> dict:
     return out
 
 
+def _library_versions() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return f"numpy {np.__version__}, {blas.get('name', 'BLAS')} {blas.get('version', '?')}"
+
+
 def test_golden_state_hashes_and_records():
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -123,9 +133,11 @@ def test_golden_state_hashes_and_records():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
+    pinned = "pinned under numpy 2.4.6, OpenBLAS 0.3.31"
     for name in RUNS:
-        assert got[name]["records"] == GOLDEN[name]["records"], name
-        assert got[name]["sha256"] == GOLDEN[name]["sha256"], name
+        where = f"{name} ({pinned}; running {_library_versions()})"
+        assert got[name]["records"] == GOLDEN[name]["records"], where
+        assert got[name]["sha256"] == GOLDEN[name]["sha256"], where
 
 
 if __name__ == "__main__":
