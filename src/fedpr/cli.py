@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,47 +33,12 @@ FORMAT_VERSION = 1
 
 CSV_HEADER = "round,mean_train_loss,acc_softmax,acc_prototype,wall_time_ms"
 
-# External key <-> FederationConfig field. "lambda" is a Python keyword,
-# so the dataclass field is "lam"; files and flags use the plain name.
-_KEY_TO_FIELD = {
-    "num_clients": "num_clients",
-    "rounds": "rounds",
-    "local_epochs": "local_epochs",
-    "batch_size": "batch_size",
-    "learning_rate": "learning_rate",
-    "momentum": "momentum",
-    "dirichlet_alpha": "dirichlet_alpha",
-    "lambda": "lam",
-    "strategy": "strategy",
-    "model": "model",
-    "seed": "master_seed",
-    "dataset": "dataset",
-    "data_dir": "data_dir",
-    "subsample_n": "subsample_n",
-    "agg_denominator": "agg_denominator",
-    "support_weighted_protos": "support_weighted_protos",
-    "proto_loss_form": "proto_loss_form",
-    "eval_inference": "eval_inference",
-    "synth_classes": "synth_classes",
-    "synth_dim": "synth_dim",
-    "synth_per_class": "synth_per_class",
-    "synth_test_per_class": "synth_test_per_class",
-    "synth_spread": "synth_spread",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+# External key <-> FederationConfig field, in field order. "lambda" is a
+# Python keyword, so the dataclass field is "lam"; files and flags use the
+# plain name.
+_RENAMED_FIELDS = {"lam": "lambda", "master_seed": "seed"}
+_KEY_TO_FIELD = {_RENAMED_FIELDS.get(f.name, f.name): f.name for f in fields(FederationConfig)}
 _FIELD_TYPES = {f.name: f.type for f in fields(FederationConfig)}
-
-
-@dataclass
-class RunArtifact:
-    """Everything one run emits: resolved config, records, summary, provenance."""
-
-    config: FederationConfig
-    records: list[RoundRecord]
-    summary: dict
-    master_seed: int
-    config_hash: str
-    format_version: int = FORMAT_VERSION
 
 
 def _coerce(key: str, raw: str):
@@ -237,23 +202,22 @@ def _metric_block(records, k: int) -> dict:
     return block
 
 
-def build_artifact(cfg: FederationConfig, records) -> RunArtifact:
-    k = min(10, len(records))
-    summary = {
+def build_artifact(cfg: FederationConfig, records) -> dict:
+    """The summary.json contents of one run."""
+    return {
         "format_version": FORMAT_VERSION,
         "mode": "run",
         "config": config_external_dict(cfg),
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
         "rounds_completed": len(records),
-        **_metric_block(records, k),
+        **_metric_block(records, min(10, len(records))),
     }
-    return RunArtifact(cfg, records, summary, cfg.master_seed, config_hash(cfg))
 
 
-def write_summary(artifact: RunArtifact, path) -> None:
+def write_summary(summary: dict, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
-        json.dump(artifact.summary, f, indent=2)
+        json.dump(summary, f, indent=2)
         f.write("\n")
 
 
@@ -336,11 +300,11 @@ def _cmd_run(args) -> int:
     records = run_experiment(cfg, progress=_progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    artifact = build_artifact(cfg, records)
+    summary = build_artifact(cfg, records)
     write_round_csv(records, out / "rounds.csv")
-    write_summary(artifact, out / "summary.json")
-    last = artifact.summary["last_k"]
-    print(f"run complete: {len(records)} rounds, last-{artifact.summary['k']} " + ", ".join(f"{k}={v:.4f}" for k, v in last.items()))
+    write_summary(summary, out / "summary.json")
+    last = summary["last_k"]
+    print(f"run complete: {len(records)} rounds, last-{summary['k']} " + ", ".join(f"{k}={v:.4f}" for k, v in last.items()))
     print(f"artifacts: {out / 'rounds.csv'}, {out / 'summary.json'}")
     return 0
 
@@ -371,9 +335,7 @@ def _cmd_compare(args) -> int:
     write_round_csv(records_pr, out / "rounds_fedpr.csv")
     write_compare_csv(records_avg, records_pr, out / "compare.csv")
     summary = build_compare_summary(cfg_avg, records_avg, cfg_pr, records_pr)
-    with open(out / "summary.json", "w", newline="", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    write_summary(summary, out / "summary.json")
     print(
         f"compare complete: fedpr-fedavg delta over last {summary['fedpr']['k']} rounds = "
         f"{summary['delta_last10_pp']:+.2f} pp "
@@ -423,11 +385,10 @@ def _selftest_gradients() -> str | None:
         fd = finite_diff_gradient(
             lambda p: loss_and_grad(p, batch, labels, protos, lam).total_loss, params
         )
-        for (a_w, a_b), (f_w, f_b) in zip(report.grads, fd):
-            for a, f in ((a_w, f_w), (a_b, f_b)):
-                rel = np.abs(a - f) / np.maximum.reduce([np.abs(a), np.abs(f), np.full_like(a, 1e-6)])
-                if rel.max() >= 1e-4:
-                    return f"trial {trial}: max relative gradient error {rel.max():.2e}"
+        g = report.grads
+        rel = np.abs(g - fd) / np.maximum.reduce([np.abs(g), np.abs(fd), np.full_like(g, 1e-6)])
+        if rel.max() >= 1e-4:
+            return f"trial {trial}: max relative gradient error {rel.max():.2e}"
     return None
 
 

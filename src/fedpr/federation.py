@@ -138,7 +138,6 @@ class ClientState:
 
     client_id: int
     shard: ClientShard
-    rng_stream: np.random.Generator | None = None
 
 
 @dataclass
@@ -167,16 +166,15 @@ def client_local_update(
 ) -> tuple[ModelParams, list[Prototype], float]:
     """E epochs of mini-batch SGD from the global model, then local prototypes.
 
-    The shard is reshuffled every epoch from the client's stream; the last
+    The shard is reshuffled every epoch from the client's stream for this
+    round, client_rng(cfg.master_seed, client_id, round_index); the last
     partial batch is trained on as-is. Global prototypes stay fixed for
     the whole update. Returns (params, prototypes, final-epoch mean loss).
     """
     indices = state.shard.indices
     if not len(indices):
         raise ValueError(f"client {state.client_id}: empty shard")
-    rng = state.rng_stream
-    if rng is None:
-        raise ValueError(f"client {state.client_id}: rng_stream not initialized")
+    rng = client_rng(cfg.master_seed, state.client_id, round_index)
 
     params = global_params.copy()
     # Fresh momentum buffers every round: clients start from a new global
@@ -205,7 +203,7 @@ def client_local_update(
                     f"client {state.client_id} diverged in round {round_index}: "
                     f"loss={report.total_loss}"
                 )
-            params, opt = sgd_momentum_step(params, report.grads, opt)
+            sgd_momentum_step(params, report.grads, opt)
             epoch_loss += report.total_loss * len(batch_idx)
     train_loss = epoch_loss / len(indices)
 
@@ -239,15 +237,10 @@ def server_weighted_average(
             raise DimensionError("cannot average models with different layer structure")
         w = weight / total
         if out is None:
-            out = params.copy()
-            for layer in out.layers:
-                layer.weight *= w
-                layer.bias *= w
+            out = params.vector * w
         else:
-            for acc, layer in zip(out.layers, params.layers):
-                acc.weight += w * layer.weight
-                acc.bias += w * layer.bias
-    return out
+            out += w * params.vector
+    return ModelParams(reference.layers, reference.extractor_boundary, out)
 
 
 def run_round(
@@ -270,7 +263,6 @@ def run_round(
     for state in clients:
         if not len(state.shard):
             continue
-        state.rng_stream = client_rng(cfg.master_seed, state.client_id, round_index)
         params_i, protos_i, loss_i = client_local_update(
             state, global_params, global_protos, cfg, train_data, round_index
         )
@@ -354,6 +346,11 @@ def _as_images(dataset: Dataset, which: str) -> Dataset:
 def prepare_partition(cfg: FederationConfig) -> tuple[Dataset, Dataset, list[ClientShard]]:
     """Load, subsample, and partition exactly as run_experiment does."""
     train, test = load_experiment_data(cfg)
+    if cfg.subsample_n > len(train):
+        raise ConfigError(
+            f"subsample_n: {cfg.subsample_n} exceeds the {len(train)} training samples "
+            f"of dataset {cfg.dataset!r}"
+        )
     train = datamod.subsample(train, cfg.subsample_n, [cfg.master_seed, _STREAM_SUBSAMPLE])
     shards = datamod.dirichlet_partition(
         train.labels, cfg.num_clients, cfg.dirichlet_alpha, [cfg.master_seed, _STREAM_PARTITION]

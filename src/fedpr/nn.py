@@ -10,7 +10,7 @@ implements its own backward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -18,9 +18,6 @@ import numpy as np
 from .errors import DimensionError, LabelError, NumericError
 
 _LAYER_KINDS = ("dense", "conv")
-
-# Per-parameter gradients mirror ModelParams: one (d_weight, d_bias) per layer.
-GradList = list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -57,15 +54,30 @@ class LayerParams:
         if self.pool and self.kind != "conv":
             raise ValueError(f"layer {self.name!r}: pooling only follows conv layers")
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(
-            self.name, self.kind, self.weight.copy(), self.bias.copy(), self.relu, self.pool
-        )
+
+def _layer_views(layers: Sequence[LayerParams], flat: np.ndarray):
+    """Per-layer (weight, bias) views into a flat buffer in vector layout:
+    layer order, each layer's weight (row-major) followed by its bias."""
+    views = []
+    end = 0
+    for layer in layers:
+        start, end = end, end + layer.weight.size
+        weight = flat[start:end].reshape(layer.weight.shape)
+        start, end = end, end + layer.bias.size
+        views.append((weight, flat[start:end]))
+    return views
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """Ordered parameter stack split into feature extractor and decision head.
+
+    All parameters live in one contiguous float64 ``vector``; each layer's
+    ``weight`` and ``bias`` are views into it, so a write through either
+    shows up in the other. Given ``vector``, the layers supply only the
+    layout (names, kinds, shapes, activations) and ``vector`` is used as
+    is, not copied; without it, the layers' values are packed into a new
+    vector.
 
     Layers with index < ``extractor_boundary`` form the extractor; the
     activation leaving the last extractor layer (after its ReLU/pool, if
@@ -75,6 +87,7 @@ class ModelParams:
 
     layers: list[LayerParams]
     extractor_boundary: int
+    vector: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -84,33 +97,42 @@ class ModelParams:
                 f"extractor_boundary {self.extractor_boundary} out of range "
                 f"for {len(self.layers)} layers"
             )
+        if self.vector is None:
+            self.vector = np.concatenate(
+                [a.ravel() for l in self.layers for a in (l.weight, l.bias)]
+            )
+        size = sum(l.weight.size + l.bias.size for l in self.layers)
+        if self.vector.dtype != np.float64 or self.vector.shape != (size,):
+            raise DimensionError(
+                f"parameter vector must be float64 of shape ({size},), "
+                f"got {self.vector.dtype} {self.vector.shape}"
+            )
+        self.layers = [
+            replace(layer, weight=weight, bias=bias)
+            for layer, (weight, bias) in zip(self.layers, _layer_views(self.layers, self.vector))
+        ]
 
     def copy(self) -> "ModelParams":
-        return ModelParams([l.copy() for l in self.layers], self.extractor_boundary)
+        return ModelParams(self.layers, self.extractor_boundary, self.vector.copy())
 
     @property
     def num_params(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.vector.size
+
+    def _spec(self):
+        return self.extractor_boundary, [
+            (l.name, l.kind, l.weight.shape, l.bias.shape, l.relu, l.pool) for l in self.layers
+        ]
 
     def same_structure(self, other: "ModelParams") -> bool:
-        if len(self.layers) != len(other.layers):
-            return False
-        if self.extractor_boundary != other.extractor_boundary:
-            return False
-        return all(
-            a.name == b.name
-            and a.kind == b.kind
-            and a.weight.shape == b.weight.shape
-            and a.bias.shape == b.bias.shape
-            for a, b in zip(self.layers, other.layers)
-        )
+        return self._spec() == other._spec()
 
 
 @dataclass
 class OptimizerState:
-    """Heavy-ball momentum buffers, one (weight, bias) pair per layer."""
+    """Heavy-ball momentum buffer, laid out like ``ModelParams.vector``."""
 
-    velocity: list[tuple[np.ndarray, np.ndarray]]
+    velocity: np.ndarray
     learning_rate: float
     momentum: float
 
@@ -122,18 +144,20 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, params: ModelParams, learning_rate: float, momentum: float) -> "OptimizerState":
-        vel = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers]
-        return cls(vel, learning_rate, momentum)
+        return cls(np.zeros_like(params.vector), learning_rate, momentum)
 
 
 @dataclass
 class BatchLossReport:
-    """Loss decomposition and exact gradients for one mini-batch."""
+    """Loss decomposition and exact gradients for one mini-batch.
+
+    ``grads`` is laid out like ``ModelParams.vector``.
+    """
 
     total_loss: float
     ce_loss: float
     proto_loss: float
-    grads: GradList
+    grads: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +431,13 @@ def model_forward(params: ModelParams, batch: np.ndarray):
 
 
 def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarray | None):
-    grads: GradList = [None] * len(params.layers)  # type: ignore[list-item]
+    """Gradient of every parameter, laid out like params.vector."""
+    grads = np.empty_like(params.vector)
+    grad_views = _layer_views(params.layers, grads)
     d = dlogits
     for idx in range(len(params.layers) - 1, -1, -1):
         layer, cache = params.layers[idx], caches[idx]
+        d_weight, d_bias = grad_views[idx]
         # The gradient w.r.t. the raw input is never consumed, so the
         # first layer skips it.
         need_dx = idx > 0
@@ -419,15 +446,15 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
         if layer.relu:
             d = d * (cache["preact"] > 0)
         if layer.kind == "dense":
-            x = cache["x"]
-            d_weight = d.T @ x
-            d_bias = d.sum(axis=0)
+            # Written straight into the buffer: copying a large dense
+            # gradient in on every step costs more than the step itself.
+            np.matmul(d.T, cache["x"], out=d_weight)
+            np.sum(d, axis=0, out=d_bias)
             d = (d @ layer.weight).reshape(cache["input_shape"]) if need_dx else None
         else:
-            d_weight, d_bias, d = _conv2d_backward(
+            d_weight[...], d_bias[...], d = _conv2d_backward(
                 d, cache["cols"], cache["input_shape"], layer.weight, need_dx
             )
-        grads[idx] = (d_weight, d_bias)
         if idx == params.extractor_boundary and d_emb is not None and d is not None:
             # d is now the gradient w.r.t. the embedding; the prototype
             # term joins here and flows through the extractor only.
@@ -523,70 +550,44 @@ def loss_and_grad(
     return BatchLossReport(total, ce_loss, proto_loss, grads)
 
 
-def sgd_momentum_step(
-    params: ModelParams, grads: GradList, state: OptimizerState
-) -> tuple[ModelParams, OptimizerState]:
-    """Heavy-ball update: v <- mu*v + g, w <- w - eta*v. Pure (no mutation)."""
-    if len(grads) != len(params.layers) or len(state.velocity) != len(params.layers):
+def sgd_momentum_step(params: ModelParams, grads: np.ndarray, state: OptimizerState) -> None:
+    """Heavy-ball update in place: v <- mu*v + g, then w <- w - eta*v.
+
+    Mutates ``params`` (its vector, and so every layer view) and
+    ``state.velocity``; ``grads`` is laid out like ``params.vector``.
+    """
+    if grads.shape != params.vector.shape or state.velocity.shape != params.vector.shape:
         raise DimensionError(
-            f"gradients/velocity for {len(grads)}/{len(state.velocity)} layers "
-            f"do not match model with {len(params.layers)}"
+            f"gradient/velocity shapes {grads.shape}/{state.velocity.shape} do not match "
+            f"{params.vector.size} model parameters"
         )
-    new_layers = []
-    new_velocity = []
-    for layer, (g_w, g_b), (v_w, v_b) in zip(params.layers, grads, state.velocity):
-        if g_w.shape != layer.weight.shape or g_b.shape != layer.bias.shape:
-            raise DimensionError(
-                f"layer {layer.name!r}: gradient shapes {g_w.shape}/{g_b.shape} do not "
-                f"match parameters {layer.weight.shape}/{layer.bias.shape}"
-            )
-        nv_w = state.momentum * v_w + g_w
-        nv_b = state.momentum * v_b + g_b
-        new_layers.append(
-            LayerParams(
-                layer.name,
-                layer.kind,
-                layer.weight - state.learning_rate * nv_w,
-                layer.bias - state.learning_rate * nv_b,
-                layer.relu,
-                layer.pool,
-            )
-        )
-        new_velocity.append((nv_w, nv_b))
-    return (
-        ModelParams(new_layers, params.extractor_boundary),
-        OptimizerState(new_velocity, state.learning_rate, state.momentum),
-    )
+    velocity = state.velocity
+    velocity *= state.momentum
+    velocity += grads
+    params.vector -= state.learning_rate * velocity
 
 
 def finite_diff_gradient(
     loss_fn: Callable[[ModelParams], float], params: ModelParams, eps: float = 1e-5
-) -> GradList:
-    """Central-difference gradient of loss_fn over every scalar parameter."""
+) -> np.ndarray:
+    """Central-difference gradient of loss_fn over every scalar parameter,
+    laid out like params.vector."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     work = params.copy()
-    out: GradList = []
-    for layer in work.layers:
-        grads_for_layer = []
-        for arr in (layer.weight, layer.bias):
-            grad = np.zeros_like(arr)
-            flat, grad_flat = arr.reshape(-1), grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                plus = loss_fn(work)
-                flat[i] = orig - eps
-                minus = loss_fn(work)
-                flat[i] = orig
-                if not (math.isfinite(plus) and math.isfinite(minus)):
-                    raise NumericError(
-                        f"non-finite loss while probing {layer.name!r} element {i}"
-                    )
-                grad_flat[i] = (plus - minus) / (2.0 * eps)
-            grads_for_layer.append(grad)
-        out.append((grads_for_layer[0], grads_for_layer[1]))
-    return out
+    flat = work.vector
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = loss_fn(work)
+        flat[i] = orig - eps
+        minus = loss_fn(work)
+        flat[i] = orig
+        if not (math.isfinite(plus) and math.isfinite(minus)):
+            raise NumericError(f"non-finite loss while probing parameter {i} of {flat.size}")
+        grad[i] = (plus - minus) / (2.0 * eps)
+    return grad
 
 
 # ---------------------------------------------------------------------------

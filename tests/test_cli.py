@@ -200,9 +200,9 @@ def test_summary_contents(tmp_path):
 def test_artifact_summary_constant_accuracy_mean():
     cfg = parse_config(None, synth_overrides())
     records = [RoundRecord(t, 0.2, 0.5, 0.5, None) for t in range(1, 13)]
-    artifact = build_artifact(cfg, records)
-    assert artifact.summary["k"] == 10
-    assert artifact.summary["last_k"]["acc_softmax"] == pytest.approx(0.5)
+    summary = build_artifact(cfg, records)
+    assert summary["k"] == 10
+    assert summary["last_k"]["acc_softmax"] == pytest.approx(0.5)
 
 
 def test_fedavg_run_leaves_prototype_column_empty(tmp_path):
@@ -312,6 +312,19 @@ def test_missing_dataset_files_is_structured_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "mnist" in err
+
+
+def test_subsample_larger_than_dataset_names_key(tmp_path, capsys):
+    path = tmp_path / "big.cfg"
+    path.write_text(
+        "dataset = synthetic\nmodel = mlp2\nsynth_classes = 3\nsynth_per_class = 10\n"
+        "subsample_n = 5000\n"
+    )
+    rc = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "subsample_n" in err
+    assert "5000" in err and "30" in err
 
 
 def test_external_config_dict_uses_external_names():

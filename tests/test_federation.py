@@ -14,7 +14,14 @@ from fedpr.federation import (
     run_round,
     server_weighted_average,
 )
-from fedpr.nn import LayerParams, ModelParams, OptimizerState, loss_and_grad, sgd_momentum_step
+from fedpr.nn import (
+    LayerParams,
+    ModelParams,
+    OptimizerState,
+    build_cnn4,
+    loss_and_grad,
+    sgd_momentum_step,
+)
 from fedpr.prototypes import GlobalPrototypeSet
 
 
@@ -115,6 +122,27 @@ def test_average_of_identical_models_conserves_weight():
     assert np.abs(out.layers[0].bias - params.layers[0].bias).max() <= 1e-15
 
 
+def test_average_matches_per_layer_loop_bitwise_cnn4():
+    rng = np.random.default_rng(3)
+    updates = [(build_cnn4(rng), weight) for weight in (120.0, 7.0, 33.0)]
+    ids = [2, 0, 1]
+    out = server_weighted_average(updates, client_ids=ids)
+    # The per-layer reduction the vector sum replaced, as its oracle.
+    total = float(sum(weight for _, weight in updates))
+    expect = None
+    for i in sorted(range(len(updates)), key=lambda i: ids[i]):
+        params, weight = updates[i]
+        w = weight / total
+        if expect is None:
+            expect = [(layer.weight * w, layer.bias * w) for layer in params.layers]
+        else:
+            for (acc_w, acc_b), layer in zip(expect, params.layers):
+                acc_w += w * layer.weight
+                acc_b += w * layer.bias
+    for layer, (e_w, e_b) in zip(out.layers, expect):
+        assert np.array_equal(layer.weight, e_w) and np.array_equal(layer.bias, e_b)
+
+
 def test_average_rejects_structure_mismatch():
     a = scalar_params(1.0)
     b = ModelParams([LayerParams("w", "dense", np.zeros((2, 2)), np.zeros(2))], 1)
@@ -143,7 +171,6 @@ def test_local_update_matches_manual_sgd_loop():
     cfg = small_cfg(strategy="fedavg", lam=0.0, eval_inference="softmax", local_epochs=2)
     train, _, shards, params, clients = make_world(cfg)
     state = clients[0]
-    state.rng_stream = client_rng(cfg.master_seed, state.client_id, 1)
     got_params, got_protos, got_loss = client_local_update(state, params, GlobalPrototypeSet.empty(), cfg, train, 1)
     assert got_protos == []
 
@@ -158,7 +185,7 @@ def test_local_update_matches_manual_sgd_loop():
         for start in range(0, len(order), cfg.batch_size):
             batch = indices[order[start : start + cfg.batch_size]]
             report = loss_and_grad(work, train.images[batch], train.labels[batch], None, 0.0)
-            work, opt = sgd_momentum_step(work, report.grads, opt)
+            sgd_momentum_step(work, report.grads, opt)
             total += report.total_loss * len(batch)
     assert params_equal(got_params, work)
     assert got_loss == total / len(indices)
@@ -168,7 +195,6 @@ def test_local_update_single_sample_shard_partial_batch():
     cfg = small_cfg()
     train, _, shards, params, _ = make_world(cfg)
     lonely = ClientState(0, ClientShard(0, shards[0].indices[:1]))
-    lonely.rng_stream = client_rng(cfg.master_seed, 0, 1)
     new_params, protos, loss = client_local_update(
         lonely, params, GlobalPrototypeSet.empty(), cfg, train, 1
     )
@@ -183,7 +209,6 @@ def test_local_update_bitwise_replay():
     results = []
     for _ in range(2):
         state = ClientState(1, shards[1])
-        state.rng_stream = client_rng(cfg.master_seed, 1, 1)
         results.append(client_local_update(state, params, GlobalPrototypeSet.empty(), cfg, train, 1))
     assert params_equal(results[0][0], results[1][0])
     assert results[0][2] == results[1][2]
@@ -193,7 +218,6 @@ def test_local_update_divergence_reports_client_and_round():
     cfg = small_cfg(learning_rate=1e200, local_epochs=3)
     train, _, shards, params, _ = make_world(cfg)
     state = ClientState(2, shards[2])
-    state.rng_stream = client_rng(cfg.master_seed, 2, 5)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="client 2.*round 5"):
             client_local_update(state, params, GlobalPrototypeSet.empty(), cfg, train, 5)
@@ -209,7 +233,6 @@ def test_round_single_client_returns_its_params():
         params, GlobalPrototypeSet.empty(), clients, cfg, 1, train, test
     )
     state = ClientState(0, shards[0])
-    state.rng_stream = client_rng(cfg.master_seed, 0, 1)
     expect_params, expect_protos, expect_loss = client_local_update(
         state, params, GlobalPrototypeSet.empty(), cfg, train, 1
     )
@@ -265,7 +288,6 @@ def test_round_train_loss_is_weighted_client_mean():
         if not len(shard):
             continue
         state = ClientState(shard.client_id, shard)
-        state.rng_stream = client_rng(cfg.master_seed, shard.client_id, 1)
         _, _, loss = client_local_update(state, params, GlobalPrototypeSet.empty(), cfg, train, 1)
         losses.append(loss)
         weights.append(len(shard))

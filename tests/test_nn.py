@@ -33,12 +33,67 @@ from fedpr.nn import (
 
 
 def max_rel_err(analytic, fd, floor=1e-6):
-    worst = 0.0
-    for (a_w, a_b), (f_w, f_b) in zip(analytic, fd):
-        for a, f in ((a_w, f_w), (a_b, f_b)):
-            denom = np.maximum.reduce([np.abs(a), np.abs(f), np.full_like(a, floor)])
-            worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+    denom = np.maximum.reduce([np.abs(analytic), np.abs(fd), np.full_like(analytic, floor)])
+    return float((np.abs(analytic - fd) / denom).max())
+
+
+# --- flat parameter vector --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build", [lambda rng: build_cnn4(rng), lambda rng: build_mlp2(rng, 784, 10)], ids=["cnn4", "mlp2"]
+)
+def test_vector_is_layers_weight_then_bias_in_order(build):
+    params = build(np.random.default_rng(30))
+    expect = b"".join(l.weight.tobytes() + l.bias.tobytes() for l in params.layers)
+    assert params.vector.dtype == np.float64 and params.vector.flags.c_contiguous
+    assert params.vector.tobytes() == expect
+    assert params.num_params == params.vector.size
+    for layer in params.layers:
+        assert np.shares_memory(layer.weight, params.vector)
+        assert np.shares_memory(layer.bias, params.vector)
+
+
+def test_write_through_vector_shows_in_layer_views():
+    weight = np.arange(6.0).reshape(2, 3)
+    params = ModelParams(
+        [
+            LayerParams("fc1", "dense", weight, [10.0, 11.0], relu=True),
+            LayerParams("fc2", "dense", np.ones((1, 2)), [20.0]),
+        ],
+        1,
+    )
+    params.vector[1] = -1.0
+    params.vector[6] = -2.0
+    params.vector[-1] = -3.0
+    assert params.layers[0].weight[0, 1] == -1.0
+    assert params.layers[0].bias[0] == -2.0
+    assert params.layers[1].bias[0] == -3.0
+    # the model owns its storage: the caller's arrays are untouched
+    assert np.array_equal(weight, np.arange(6.0).reshape(2, 3))
+
+
+def test_copy_shares_no_memory():
+    params = build_cnn4(np.random.default_rng(31))
+    dup = params.copy()
+    assert np.array_equal(dup.vector, params.vector)
+    assert not np.shares_memory(dup.vector, params.vector)
+    for a, b in zip(dup.layers, params.layers):
+        assert not np.shares_memory(a.weight, b.weight)
+        assert not np.shares_memory(a.bias, b.bias)
+        assert np.shares_memory(a.weight, dup.vector)
+    dup.vector += 1.0
+    assert not np.array_equal(dup.layers[0].weight, params.layers[0].weight)
+
+
+def test_bad_layer_shapes_and_vector_raise_dimension_error():
+    with pytest.raises(DimensionError, match="bias"):
+        ModelParams([LayerParams("fc", "dense", np.zeros((2, 3)), np.zeros(3))], 1)
+    with pytest.raises(DimensionError, match="kernel"):
+        LayerParams("conv", "conv", np.zeros((2, 1, 3, 2)), np.zeros(2))
+    layers = [LayerParams("fc", "dense", np.zeros((2, 3)), np.zeros(2))]
+    with pytest.raises(DimensionError, match="vector"):
+        ModelParams(layers, 1, np.zeros(7))
 
 
 # --- dense ------------------------------------------------------------------
@@ -361,8 +416,7 @@ def test_loss_lambda_zero_equals_pure_ce():
     plain = loss_and_grad(params, x, y, None, 0.0)
     with_protos = loss_and_grad(params, x, y, protos, 0.0)
     assert with_protos.total_loss == plain.ce_loss == plain.total_loss
-    for (a_w, a_b), (b_w, b_b) in zip(plain.grads, with_protos.grads):
-        assert np.array_equal(a_w, b_w) and np.array_equal(a_b, b_b)
+    assert np.array_equal(plain.grads, with_protos.grads)
 
 
 def test_loss_zero_distance_prototypes():
@@ -512,8 +566,7 @@ def test_loss_grads_match_loop_pull_bitwise(model, proto_form):
     assert report.ce_loss == ce
     assert report.proto_loss == expect_pull
     assert report.total_loss == ce + 0.5 * expect_pull
-    for (a_w, a_b), (e_w, e_b) in zip(report.grads, expect_grads):
-        assert np.array_equal(a_w, e_w) and np.array_equal(a_b, e_b)
+    assert np.array_equal(report.grads, expect_grads)
 
 
 def test_loss_finiteness_on_random_inputs():
@@ -523,8 +576,7 @@ def test_loss_finiteness_on_random_inputs():
     y = rng.integers(0, 4, size=6)
     report = loss_and_grad(params, x, y, {0: rng.normal(size=6)}, 1.0)
     assert math.isfinite(report.total_loss)
-    for g_w, g_b in report.grads:
-        assert np.isfinite(g_w).all() and np.isfinite(g_b).all()
+    assert np.isfinite(report.grads).all()
 
 
 # --- optimizer --------------------------------------------------------------
@@ -537,46 +589,44 @@ def scalar_model(value):
 def test_sgd_first_step():
     params = scalar_model(1.0)
     state = OptimizerState.zeros(params, learning_rate=0.01, momentum=0.5)
-    grads = [(np.array([[1.0]]), np.array([0.0]))]
-    new_params, new_state = sgd_momentum_step(params, grads, state)
-    assert new_state.velocity[0][0][0, 0] == 1.0
-    assert new_params.layers[0].weight[0, 0] == pytest.approx(0.99, abs=1e-15)
+    grads = np.array([1.0, 0.0])
+    sgd_momentum_step(params, grads, state)
+    assert state.velocity[0] == 1.0
+    assert params.layers[0].weight[0, 0] == pytest.approx(0.99, abs=1e-15)
 
 
 def test_sgd_zero_grad_zero_velocity_fixed_point():
     params = scalar_model(1.0)
     state = OptimizerState.zeros(params, 0.01, 0.5)
-    grads = [(np.zeros((1, 1)), np.zeros(1))]
-    new_params, _ = sgd_momentum_step(params, grads, state)
-    assert new_params.layers[0].weight[0, 0] == 1.0
+    sgd_momentum_step(params, np.zeros(2), state)
+    assert params.layers[0].weight[0, 0] == 1.0
 
 
 def test_sgd_two_step_recurrence():
     params = scalar_model(1.0)
     state = OptimizerState.zeros(params, 0.01, 0.5)
-    grads = [(np.array([[1.0]]), np.array([0.0]))]
-    params, state = sgd_momentum_step(params, grads, state)
-    params, state = sgd_momentum_step(params, grads, state)
-    assert state.velocity[0][0][0, 0] == pytest.approx(1.5, abs=1e-15)
+    grads = np.array([1.0, 0.0])
+    sgd_momentum_step(params, grads, state)
+    sgd_momentum_step(params, grads, state)
+    assert state.velocity[0] == pytest.approx(1.5, abs=1e-15)
     assert params.layers[0].weight[0, 0] == pytest.approx(0.975, abs=1e-15)
 
 
 def test_sgd_no_momentum_is_plain_gradient_descent():
     rng = np.random.default_rng(20)
     params = build_mlp2(rng, 3, 2, hidden=4)
-    grads = [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in params.layers]
+    grads = rng.normal(size=params.num_params)
     state = OptimizerState.zeros(params, 0.1, 0.0)
-    new_params, _ = sgd_momentum_step(params, grads, state)
-    for layer, new_layer, (g_w, g_b) in zip(params.layers, new_params.layers, grads):
-        assert np.array_equal(new_layer.weight, layer.weight - 0.1 * g_w)
-        assert np.array_equal(new_layer.bias, layer.bias - 0.1 * g_b)
+    before = params.vector.copy()
+    sgd_momentum_step(params, grads, state)
+    assert np.array_equal(params.vector, before - 0.1 * grads)
 
 
 def test_sgd_shape_mismatch_raises():
     params = scalar_model(1.0)
     state = OptimizerState.zeros(params, 0.01, 0.5)
     with pytest.raises(DimensionError):
-        sgd_momentum_step(params, [(np.zeros((2, 2)), np.zeros(1))], state)
+        sgd_momentum_step(params, np.zeros(5), state)
 
 
 def test_optimizer_state_validation():
@@ -587,22 +637,60 @@ def test_optimizer_state_validation():
         OptimizerState.zeros(params, 0.1, 1.0)
 
 
+def split_layers(params, flat):
+    """Per-layer (weight, bias) pieces of a flat buffer: layer order,
+    weight before bias."""
+    pieces, start = [], 0
+    for layer in params.layers:
+        w_end = start + layer.weight.size
+        b_end = w_end + layer.bias.size
+        pieces.append((flat[start:w_end].reshape(layer.weight.shape), flat[w_end:b_end]))
+        start = b_end
+    return pieces
+
+
+def test_sgd_in_place_step_matches_pure_formula_bitwise_cnn4():
+    rng = np.random.default_rng(27)
+    params = build_cnn4(rng)
+    state = OptimizerState(rng.normal(size=params.num_params), 0.01, 0.5)
+    for _ in range(2):
+        grads = rng.normal(size=params.num_params)
+        # The per-layer pure step the in-place one replaced, as its oracle.
+        expect = []
+        for layer, (g_w, g_b), (v_w, v_b) in zip(
+            params.layers, split_layers(params, grads), split_layers(params, state.velocity)
+        ):
+            nv_w = state.momentum * v_w + g_w
+            nv_b = state.momentum * v_b + g_b
+            expect.append(
+                (
+                    layer.weight - state.learning_rate * nv_w,
+                    layer.bias - state.learning_rate * nv_b,
+                    nv_w,
+                    nv_b,
+                )
+            )
+        sgd_momentum_step(params, grads, state)
+        velocity = split_layers(params, state.velocity)
+        for layer, (v_w, v_b), (e_w, e_b, ev_w, ev_b) in zip(params.layers, velocity, expect):
+            assert np.array_equal(layer.weight, e_w) and np.array_equal(layer.bias, e_b)
+            assert np.array_equal(v_w, ev_w) and np.array_equal(v_b, ev_b)
+
+
 # --- finite differences -----------------------------------------------------
 
 
 def test_finite_diff_quadratic():
     params = scalar_model(3.0)
     grads = finite_diff_gradient(lambda p: float(p.layers[0].weight[0, 0] ** 2), params, eps=1e-5)
-    assert grads[0][0][0, 0] == pytest.approx(6.0, abs=1e-6)
+    assert grads[0] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_finite_diff_constant_fn_zero():
     rng = np.random.default_rng(21)
     params = build_mlp2(rng, 3, 2, hidden=4)
     grads = finite_diff_gradient(lambda p: 1.25, params)
-    for g_w, g_b in grads:
-        assert np.array_equal(g_w, np.zeros_like(g_w))
-        assert np.array_equal(g_b, np.zeros_like(g_b))
+    assert np.array_equal(grads, np.zeros(params.num_params))
 
 
 def test_finite_diff_nonfinite_loss_raises():
