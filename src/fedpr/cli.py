@@ -10,7 +10,9 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -140,6 +142,26 @@ def _canonical_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _atomic_text_file(path):
+    """Open a text file that replaces ``path`` only once fully written.
+
+    The text goes to a temporary file in the same directory, is flushed
+    to disk, and is renamed over ``path``; if writing fails, the
+    temporary file is removed and an earlier ``path`` stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
@@ -158,7 +180,7 @@ def write_round_csv(records, path) -> None:
             f"{r.round_index},{_fmt(r.mean_train_loss)},"
             f"{_fmt(r.test_accuracy_softmax)},{_fmt(r.test_accuracy_prototype)},"
         )
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _atomic_text_file(path) as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -216,7 +238,7 @@ def build_artifact(cfg: FederationConfig, records) -> dict:
 
 
 def write_summary(summary: dict, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _atomic_text_file(path) as f:
         json.dump(summary, f, indent=2)
         f.write("\n")
 
@@ -275,7 +297,7 @@ def write_compare_csv(records_avg, records_pr, path) -> None:
             f"{_fmt(r_pr.test_accuracy_softmax)},{_fmt(r_pr.test_accuracy_prototype)},"
             f"{_fmt(delta)}"
         )
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _atomic_text_file(path) as f:
         f.write("\n".join(lines) + "\n")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import logging
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +102,24 @@ def _read_be32(f, path) -> int:
     return struct.unpack(">I", data)[0]
 
 
+def _read_idx(path, magic: int, num_dims: int):
+    """Check an IDX file's magic; return its header sizes and the payload."""
+    try:
+        with _open_maybe_gzip(path) as f:
+            found = _read_be32(f, path)
+            if found != magic:
+                raise DataFormatError(
+                    f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}"
+                )
+            dims = [_read_be32(f, path) for _ in range(num_dims)]
+            payload = f.read()
+    except EOFError as exc:  # the gzip stream ends before its end marker
+        raise TruncatedFileError(f"{path}: compressed data ended early ({exc})") from exc
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"{path}: corrupt gzip data ({exc})") from exc
+    return dims, payload
+
+
 def load_idx_images(path) -> np.ndarray:
     # IDX image format (big endian):
     # u32   magic = 0x00000803
@@ -108,21 +127,14 @@ def load_idx_images(path) -> np.ndarray:
     # u32   rows
     # u32   cols
     # u8[]  pixels, row-major
-    with _open_maybe_gzip(path) as f:
-        magic = _read_be32(f, path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        count = _read_be32(f, path)
-        rows = _read_be32(f, path)
-        cols = _read_be32(f, path)
-        payload = f.read()
+    (count, rows, cols), payload = _read_idx(path, IDX_IMAGE_MAGIC, 3)
     expected = count * rows * cols
     if len(payload) < expected:
         raise TruncatedFileError(
             f"{path}: expected {expected} pixel bytes, found {len(payload)}"
         )
+    if rows * cols * 8 > np.iinfo(np.intp).max:  # only reachable with 0 images
+        raise DataFormatError(f"{path}: {rows}x{cols} images exceed numpy's array size limit")
     pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
     return pixels.reshape(count, 1, rows, cols).astype(np.float64) / 255.0
 
@@ -132,14 +144,7 @@ def load_idx_labels(path) -> np.ndarray:
     # u32   magic = 0x00000801
     # u32   label count
     # u8[]  labels
-    with _open_maybe_gzip(path) as f:
-        magic = _read_be32(f, path)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        count = _read_be32(f, path)
-        payload = f.read()
+    (count,), payload = _read_idx(path, IDX_LABEL_MAGIC, 1)
     if len(payload) < count:
         raise TruncatedFileError(f"{path}: expected {count} label bytes, found {len(payload)}")
     return np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)

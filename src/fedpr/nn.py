@@ -9,7 +9,10 @@ implements its own backward pass.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -195,7 +198,9 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return windows.reshape(b, c * k * k, ho * wo)
 
 
-def _conv2d_cached(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray):
+def _conv2d_cached(kernel: np.ndarray, bias: np.ndarray | None, x: np.ndarray):
+    """Conv output [batch, outC, H', W'] and its im2col buffer; bias=None
+    leaves the bias out."""
     out_c, in_c, k, _ = kernel.shape
     b, c, h, w = x.shape
     if c != in_c:
@@ -204,7 +209,9 @@ def _conv2d_cached(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray):
         raise DimensionError(f"conv kernel {k}x{k} larger than input {h}x{w}")
     ho, wo = h - k + 1, w - k + 1
     cols = _im2col(x, k)
-    y = np.matmul(kernel.reshape(out_c, -1), cols) + bias[:, None]
+    y = np.matmul(kernel.reshape(out_c, -1), cols)
+    if bias is not None:
+        y = y + bias[:, None]
     return y.reshape(b, out_c, ho, wo), cols
 
 
@@ -346,6 +353,34 @@ def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]):
 _CONV_BLOCK = 8
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that share the conv blocks of one forward-only pass. Each block
+# computes the same values on any thread, so results do not depend on it.
+_CONV_WORKERS = _usable_cpus()
+
+
+def _conv_pool_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+    """Forward-only conv + 2x2 max-pool (+ ReLU) that pools the raw GEMM
+    output, then adds the bias and applies the ReLU on the pooled values.
+
+    Exact for a finite bias: rounding is monotonic, so
+    max_i fl(m_i + b) == fl(max_i m_i + b), and max commutes with ReLU.
+    It saves a full-size bias pass and a full-size ReLU pass.
+    """
+    a, _ = _conv2d_cached(layer.weight, None, x)
+    a = _maxpool2_fast(a)
+    a += layer.bias[:, None, None]
+    if layer.relu:
+        np.maximum(a, 0.0, out=a)
+    return a
+
+
 def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches):
     """Run layers[lo:hi]; returns (activation, embedding or None).
 
@@ -356,6 +391,12 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
     for idx in range(lo, hi):
         layer = params.layers[idx]
         cache = {"input_shape": a.shape} if want_cache else None
+        # An infinite bias can turn -inf + inf into NaN in one window
+        # position, which pooling first would skip.
+        pool_first = (
+            not want_cache and layer.kind == "conv" and layer.pool
+            and np.isfinite(layer.bias).all()
+        )
         if layer.kind == "dense":
             flat = a.reshape(a.shape[0], -1) if a.ndim > 2 else a
             if flat.shape[1] != layer.weight.shape[1]:
@@ -371,14 +412,17 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
                 raise DimensionError(
                     f"conv layer {layer.name!r}: input must be [batch, C, H, W], got {a.shape}"
                 )
-            a, cols = _conv2d_cached(layer.weight, layer.bias, a)
-            if want_cache:
-                cache["cols"] = cols
-        if layer.relu:
+            if pool_first:
+                a = _conv_pool_forward(layer, a)
+            else:
+                a, cols = _conv2d_cached(layer.weight, layer.bias, a)
+                if want_cache:
+                    cache["cols"] = cols
+        if layer.relu and not pool_first:
             if want_cache:
                 cache["preact"] = a
             a = np.maximum(a, 0.0)
-        if layer.pool:
+        if layer.pool and not pool_first:
             if want_cache:
                 cache["pool_in_shape"] = a.shape
                 a, arg = _maxpool2_cached(a)
@@ -392,14 +436,49 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
     return a, emb
 
 
+def _conv_blocks_forward(params: ModelParams, a: np.ndarray, stop: int):
+    """Forward-only layers[:stop] over blocks of _CONV_BLOCK samples.
+
+    The blocks are split into one contiguous run per worker thread; the
+    outputs come back in block order. Returns (activation, embedding or
+    None) like _layers_forward.
+    """
+    starts = range(0, a.shape[0], _CONV_BLOCK)
+
+    def run(first: int, last: int):
+        return [
+            _layers_forward(params, a[i : i + _CONV_BLOCK], 0, stop, None)
+            for i in starts[first:last]
+        ]
+
+    workers = min(_CONV_WORKERS, len(starts))
+    if workers > 1:
+        bounds = [len(starts) * w // workers for w in range(workers + 1)]
+        # A pool per call: one kept in a module global would not survive
+        # a fork. Each task runs in a copy of the caller's context, which
+        # carries the numpy error state (np.errstate) into the thread.
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, run, first, last)
+                for first, last in zip(bounds, bounds[1:])
+            ]
+            blocks = [block for future in futures for block in future.result()]
+    else:
+        blocks = run(0, len(starts))
+    out = np.concatenate([block for block, _ in blocks])
+    emb = None if blocks[0][1] is None else np.concatenate([e for _, e in blocks])
+    return out, emb
+
+
 def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True):
     """Run the stack, optionally recording what each backward pass needs.
 
     Returns (embeddings[batch, d], logits, caches). The embedding is the
     activation crossing the extractor boundary, flattened per sample.
     Forward-only callers pass want_cache=False and get the same values
-    cheaper: no routing indices, no retained intermediates, and the
-    leading conv layers run in blocks of _CONV_BLOCK samples.
+    cheaper: no routing indices, no retained intermediates, conv+pool
+    layers pool before their bias and ReLU, and the leading conv layers
+    run in blocks of _CONV_BLOCK samples spread over _CONV_WORKERS threads.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim < 2:
@@ -411,13 +490,9 @@ def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True)
         while start < len(params.layers) and params.layers[start].kind == "conv":
             start += 1
     if start:
-        blocks = [
-            _layers_forward(params, a[i : i + _CONV_BLOCK], 0, start, None)
-            for i in range(0, a.shape[0], _CONV_BLOCK)
-        ]
-        a = np.concatenate([out for out, _ in blocks])
-        if blocks[0][1] is not None:
-            emb = np.concatenate([block_emb for _, block_emb in blocks])
+        a, block_emb = _conv_blocks_forward(params, a, start)
+        if block_emb is not None:
+            emb = block_emb
     a, tail_emb = _layers_forward(params, a, start, len(params.layers), caches)
     if tail_emb is not None:
         emb = tail_emb

@@ -1,5 +1,7 @@
+import gzip
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from fedpr.cli import (
     parse_config,
     read_round_csv,
     run_cli,
+    write_compare_csv,
     write_round_csv,
+    write_summary,
 )
-from fedpr.data import class_counts
+from fedpr.data import class_counts, write_idx_images, write_idx_labels
 from fedpr.errors import ConfigError
 from fedpr.federation import RoundRecord, prepare_partition
 
@@ -312,6 +316,63 @@ def test_missing_dataset_files_is_structured_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "mnist" in err
+
+
+_WRITERS = {
+    "rounds": lambda records, path: write_round_csv(records, path),
+    "compare": lambda records, path: write_compare_csv(records, records, path),
+    "summary": lambda records, path: write_summary({"rounds": len(records)}, path),
+}
+
+
+@pytest.mark.parametrize("write", _WRITERS.values(), ids=_WRITERS.keys())
+def test_failed_artifact_write_keeps_earlier_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write([RoundRecord(1, 0.5, 0.25, None)], path)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        write([RoundRecord(1, 0.5, 0.25, None), RoundRecord(2, 0.4, 0.5, None)], path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_summary_failing_mid_stream_keeps_earlier_file(tmp_path):
+    path = tmp_path / "summary.json"
+    write_summary({"rounds": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # json.dump has written "rounds" when it fails
+        write_summary({"rounds": 2, "bad": object()}, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["summary.json"]
+
+
+def test_truncated_gzip_dataset_is_structured_error(tmp_path, capsys):
+    mnist = tmp_path / "data" / "mnist"
+    mnist.mkdir(parents=True)
+    rng = np.random.default_rng(0)
+    for split, n in (("train", 40), ("t10k", 20)):
+        write_idx_images(
+            mnist / f"{split}-images-idx3-ubyte",
+            rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8),
+        )
+        write_idx_labels(mnist / f"{split}-labels-idx1-ubyte", rng.integers(0, 10, size=n))
+    images = mnist / "train-images-idx3-ubyte"
+    data = gzip.compress(images.read_bytes(), mtime=0)
+    images.unlink()
+    (mnist / "train-images-idx3-ubyte.gz").write_bytes(data[: len(data) // 2])
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"dataset = mnist\ndata_dir = {tmp_path / 'data'}\nsubsample_n = 40\n")
+    rc = run_cli(
+        ["run", "--config", str(cfg_path), "--rounds", "1", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "TruncatedFileError" in err and "train-images-idx3-ubyte.gz" in err
 
 
 def test_subsample_larger_than_dataset_names_key(tmp_path, capsys):

@@ -4,8 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedpr.data import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
     ClientShard,
     Dataset,
     PartitionSpec,
@@ -95,6 +99,98 @@ def test_idx_roundtrip_preserves_bytes(tmp_path):
     write_idx_images(path, pixels)
     restored = np.round(load_idx_images(path) * 255.0).astype(np.uint8)[:, 0]
     assert np.array_equal(restored, pixels)
+
+
+def _gzip_idx(tmp_path, loader):
+    """A gzip-compressed IDX file that ``loader`` reads, about 10 KB."""
+    raw = tmp_path / "raw"
+    rng = np.random.default_rng(4)
+    if loader is load_idx_images:
+        write_idx_images(raw, rng.integers(0, 256, size=(20, 28, 28), dtype=np.uint8))
+    else:
+        write_idx_labels(raw, rng.integers(0, 10, size=20000))
+    return gzip.compress(raw.read_bytes(), mtime=0)
+
+
+@pytest.mark.parametrize("loader", [load_idx_images, load_idx_labels])
+def test_truncated_gzip_is_truncated_file_error(tmp_path, loader):
+    data = _gzip_idx(tmp_path, loader)
+    path = tmp_path / "half.gz"
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(TruncatedFileError, match="half.gz"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_idx_images, load_idx_labels])
+@pytest.mark.parametrize(
+    "offset, value",
+    # unknown compression method; broken deflate block (zlib.error); wrong CRC
+    [(2, 7), (11, None), (-8, None)],
+    ids=["method", "deflate", "crc"],
+)
+def test_corrupt_gzip_is_data_format_error(tmp_path, loader, offset, value):
+    data = bytearray(_gzip_idx(tmp_path, loader))
+    data[offset] = data[offset] ^ 0xFF if value is None else value
+    path = tmp_path / "corrupt.gz"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataFormatError, match="corrupt.gz"):
+        loader(path)
+
+
+def test_empty_image_file_with_huge_dims_is_data_format_error(tmp_path):
+    path = tmp_path / "imgs"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 2**32 - 1, 2**32 - 1))
+    with pytest.raises(DataFormatError, match="size limit"):
+        load_idx_images(path)
+
+
+# Arbitrary bytes, and bytes that start with a valid magic so that the
+# header and payload checks are reached too.
+_IDX_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda magic, rest: struct.pack(">I", magic) + rest,
+        st.sampled_from([IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC]),
+        st.binary(max_size=64),
+    ),
+    st.builds(
+        lambda magic, dims, payload: struct.pack(">IIII", magic, *dims) + payload,
+        st.sampled_from([IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC]),
+        st.tuples(*[st.sampled_from([0, 1, 2, 3, 7, 2**16, 2**32 - 1])] * 3),
+        st.binary(max_size=64),
+    ),
+)
+
+
+@st.composite
+def _idx_file_bytes(draw):
+    """Raw IDX-ish bytes, or their gzip stream, maybe cut short or with a byte flipped."""
+    data = draw(_IDX_BYTES)
+    if draw(st.booleans()):
+        data = bytearray(gzip.compress(data, mtime=0))
+        if draw(st.booleans()):
+            pos = draw(st.integers(0, len(data) - 1))
+            data[pos] ^= draw(st.integers(1, 255))
+        data = bytes(data[: draw(st.integers(0, len(data)))])
+    return data
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,  # the same examples on every run
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_idx_file_bytes())
+def test_idx_loaders_raise_only_format_errors(tmp_path, data):
+    path = tmp_path / "fuzz"
+    path.write_bytes(data)
+    for loader in (load_idx_images, load_idx_labels):
+        try:
+            out = loader(path)
+        except DataFormatError:  # TruncatedFileError included
+            continue
+        assert out.dtype in (np.float64, np.int64)
 
 
 def test_dataset_count_mismatch():

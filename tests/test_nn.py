@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fedpr import evaluation, nn, prototypes
+from fedpr.data import ClientShard, Dataset
 from fedpr.errors import DimensionError, LabelError, NumericError
+from fedpr.evaluation import evaluate_accuracy
 from fedpr.nn import (
     _CONV_BLOCK,
     LayerParams,
@@ -30,6 +33,7 @@ from fedpr.nn import (
     _maxpool2_cached,
     _prototype_pull,
 )
+from fedpr.prototypes import aggregate_global_prototypes, compute_local_prototypes
 
 
 def max_rel_err(analytic, fd, floor=1e-6):
@@ -372,18 +376,133 @@ def test_model_forward_bitwise_deterministic():
     assert np.array_equal(emb1, emb2) and np.array_equal(logits1, logits2)
 
 
+# Threads sharing the conv blocks: serial, two, an uneven split, and more
+# threads than any batch below has blocks (the pool is capped at one
+# thread per block). Set in the tests, so a one-CPU runner takes the pool
+# path too.
+WORKER_COUNTS = (1, 2, 3, 200)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def cached_forward(params, x):
+    """The training path's forward: whole-batch convs, bias and ReLU before
+    the pool, no threads."""
+    emb, logits, _ = _forward_cached(params, x, want_cache=True)
+    return emb, logits
+
+
 @pytest.mark.parametrize(
-    "batch", sorted({1, max(1, _CONV_BLOCK - 1), _CONV_BLOCK, _CONV_BLOCK + 1, 256, 257, 512})
+    "batch",
+    sorted({1, max(1, _CONV_BLOCK - 1), _CONV_BLOCK, _CONV_BLOCK + 1, 17, 256, 257, 512, 1000}),
 )
-def test_model_forward_matches_cached_forward_bitwise_cnn4(batch):
-    # model_forward runs the convs in blocks; training runs them whole.
+def test_model_forward_matches_cached_forward_bitwise_cnn4(batch, monkeypatch):
+    # model_forward pools before bias and ReLU and runs the convs in
+    # blocks on a thread pool; training runs them whole.
     rng = np.random.default_rng(23)
     params = build_cnn4(rng)
     x = rng.random((batch, 1, 28, 28))
-    emb, logits = model_forward(params, x)
-    cached_emb, cached_logits, _ = _forward_cached(params, x, want_cache=True)
-    assert np.array_equal(emb, cached_emb)
-    assert np.array_equal(logits, cached_logits)
+    cached_emb, cached_logits = cached_forward(params, x)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(nn, "_CONV_WORKERS", workers)
+        emb, logits = model_forward(params, x)
+        assert same_bits(emb, cached_emb), workers
+        assert same_bits(logits, cached_logits), workers
+
+
+@pytest.mark.parametrize("n", [9, 17, 257, 1000])
+def test_prototypes_and_evaluation_match_cached_forward_bitwise(n, monkeypatch):
+    rng = np.random.default_rng(31)
+    params = build_cnn4(rng)
+    dataset = Dataset(rng.random((n, 1, 28, 28)), rng.integers(0, 10, size=n), 10)
+    shard = ClientShard(0, rng.permutation(n))
+    with monkeypatch.context() as patch:
+        patch.setattr(prototypes, "model_forward", cached_forward)
+        patch.setattr(evaluation, "model_forward", cached_forward)
+        want_protos = compute_local_prototypes(params, dataset, shard)
+        global_protos = aggregate_global_prototypes([want_protos])
+        want_report = evaluate_accuracy(params, global_protos, dataset, "both")
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(nn, "_CONV_WORKERS", workers)
+        got = compute_local_prototypes(params, dataset, shard)
+        assert [(p.class_id, p.support) for p in got] == [
+            (p.class_id, p.support) for p in want_protos
+        ]
+        assert all(same_bits(g.vector, w.vector) for g, w in zip(got, want_protos)), workers
+        report = evaluate_accuracy(params, global_protos, dataset, "both")
+        assert report.correct_softmax == want_report.correct_softmax
+        assert report.correct_prototype == want_report.correct_prototype
+        assert np.array_equal(report.confusion_softmax, want_report.confusion_softmax)
+        assert np.array_equal(report.confusion_prototype, want_report.confusion_prototype)
+
+
+def unit_conv_model(bias):
+    """A 1x1 conv with every weight 1.0, so its GEMM output is the input bit
+    for bit (NaN and inf included), then ReLU, 2x2 pool and a dense head."""
+    out_c = len(bias)
+    return ModelParams(
+        [
+            LayerParams(
+                "conv", "conv", np.ones((out_c, 1, 1, 1)), np.asarray(bias), relu=True, pool=True
+            ),
+            LayerParams("fc", "dense", np.ones((2, out_c * 3 * 4)) / 7, np.zeros(2)),
+        ],
+        1,
+    )
+
+
+def special_pool_input(rng, batch):
+    # Half-integer values: many windows hold tied maxima, many are all
+    # negative. Pinned windows hold signed zeros, NaN and infinities.
+    x = np.round(rng.normal(size=(batch, 1, 6, 8)) * 2) / 2
+    x[0, 0, 0:2, 0:2] = [[-0.0, 0.0], [0.0, -0.0]]
+    x[0, 0, 0:2, 2:4] = [[-1.5, -0.5], [-0.5, -2.0]]
+    x[0, 0, 2:4, 0:2] = [[np.nan, 1.0], [2.0, -1.0]]
+    x[0, 0, 2:4, 2:4] = [[np.inf, 1.0], [-np.inf, 0.0]]
+    x[1, 0, 0:2, 0:2] = [[-np.inf, -1.0], [-np.inf, -np.inf]]
+    x[1, 0, 0:2, 2:4] = [[-np.inf, -np.inf], [-np.inf, -np.inf]]
+    x[1, 0, 2:4, 0:2] = [[np.inf, np.inf], [1.0, np.nan]]
+    x[1, 0, 4:6, 6:8] = [[-np.nan, np.nan], [0.0, 0.0]]
+    return x
+
+
+@pytest.mark.parametrize(
+    "bias",
+    [
+        [0.5, -1.25, 0.0],
+        [-0.0, 3.0, -0.5],
+        [1e308, -1e308, 2.0**-1074],
+        [np.inf, -np.inf, np.nan],  # not finite: the pool runs after the bias
+    ],
+    ids=["plain", "signed-zero", "extreme", "non-finite"],
+)
+def test_pool_before_bias_matches_cached_path_bitwise(bias, monkeypatch):
+    rng = np.random.default_rng(41)
+    params = unit_conv_model(bias)
+    for batch in (2, _CONV_BLOCK + 3):
+        x = special_pool_input(rng, batch)
+        with np.errstate(all="ignore"):
+            cached_emb, cached_logits = cached_forward(params, x)
+            for workers in (1, 2):
+                monkeypatch.setattr(nn, "_CONV_WORKERS", workers)
+                emb, logits = model_forward(params, x)
+                assert same_bits(emb, cached_emb), (batch, workers)
+                assert same_bits(logits, cached_logits), (batch, workers)
+
+
+def test_errstate_reaches_the_conv_worker_threads(monkeypatch):
+    # The bias add overflows inside the conv blocks, on the pool's threads.
+    monkeypatch.setattr(nn, "_CONV_WORKERS", 2)
+    params = unit_conv_model([1e308, 0.0, 0.0])
+    x = np.full((4 * _CONV_BLOCK, 1, 6, 8), 1.5e308)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            model_forward(params, x)
+    with np.errstate(over="ignore"):
+        emb, _ = model_forward(params, x)
+    assert np.isposinf(emb[:, :12]).all()
 
 
 def test_model_forward_matches_cached_forward_bitwise_mlp2():
