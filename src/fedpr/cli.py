@@ -190,19 +190,15 @@ def read_round_csv(path) -> list[RoundRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header")
     records = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 5:
             raise ConfigError(f"{path}: malformed row {line!r}")
-        records.append(
-            RoundRecord(
-                int(parts[0]),
-                float(parts[1]),
-                float(parts[2]) if parts[2] else None,
-                float(parts[3]) if parts[3] else None,
-                float(parts[4]) if parts[4] else None,
-            )
-        )
+        try:
+            optional = [float(part) if part else None for part in parts[2:]]
+            records.append(RoundRecord(int(parts[0]), float(parts[1]), *optional))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {row} {line!r}: {exc}") from None
     return records
 
 

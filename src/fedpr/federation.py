@@ -84,10 +84,18 @@ class FederationConfig:
         check(self.rounds >= 1, "rounds", f"must be >= 1, got {self.rounds}")
         check(self.local_epochs >= 1, "local_epochs", f"must be >= 1, got {self.local_epochs}")
         check(self.batch_size >= 1, "batch_size", f"must be >= 1, got {self.batch_size}")
-        check(self.learning_rate > 0, "learning_rate", f"must be > 0, got {self.learning_rate}")
+        check(
+            0 < self.learning_rate < math.inf,
+            "learning_rate",
+            f"must be finite and > 0, got {self.learning_rate}",
+        )
         check(0 <= self.momentum < 1, "momentum", f"must be in [0, 1), got {self.momentum}")
-        check(self.dirichlet_alpha > 0, "dirichlet_alpha", f"must be > 0, got {self.dirichlet_alpha}")
-        check(self.lam >= 0, "lambda", f"must be >= 0, got {self.lam}")
+        check(
+            0 < self.dirichlet_alpha < math.inf,
+            "dirichlet_alpha",
+            f"must be finite and > 0, got {self.dirichlet_alpha}",
+        )
+        check(0 <= self.lam < math.inf, "lambda", f"must be finite and >= 0, got {self.lam}")
         check(self.master_seed >= 0, "seed", f"must be a non-negative integer, got {self.master_seed}")
         check(self.subsample_n >= 1, "subsample_n", f"must be >= 1, got {self.subsample_n}")
         check(self.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
@@ -123,7 +131,11 @@ class FederationConfig:
             "synth_test_per_class",
             f"must be >= 1, got {self.synth_test_per_class}",
         )
-        check(self.synth_spread >= 0, "synth_spread", f"must be >= 0, got {self.synth_spread}")
+        check(
+            0 <= self.synth_spread < math.inf,
+            "synth_spread",
+            f"must be finite and >= 0, got {self.synth_spread}",
+        )
         return self
 
     def replace(self, **changes) -> "FederationConfig":

@@ -211,7 +211,7 @@ def _conv2d_cached(kernel: np.ndarray, bias: np.ndarray | None, x: np.ndarray):
     cols = _im2col(x, k)
     y = np.matmul(kernel.reshape(out_c, -1), cols)
     if bias is not None:
-        y = y + bias[:, None]
+        y += bias[:, None]
     return y.reshape(b, out_c, ho, wo), cols
 
 
@@ -231,14 +231,30 @@ def conv2d_forward(kernel: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.nd
 
 
 def _conv2d_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernel: np.ndarray, need_dx: bool):
+    """Kernel, bias and input gradients of a conv layer.
+
+    dy is the output gradient in channel-major [outC, batch, H', W'] layout,
+    contiguous; cols is the forward's [batch, C*k*k, H'*W'] im2col buffer.
+    """
     out_c, in_c, k, _ = kernel.shape
-    b, _, ho, wo = dy.shape
-    dy_flat = dy.reshape(b, out_c, ho * wo)
-    d_kernel = np.tensordot(dy_flat, cols, axes=([0, 2], [0, 2])).reshape(out_c, in_c, k, k)
-    d_bias = dy.sum(axis=(0, 2, 3))
+    _, b, ho, wo = dy.shape
+    dy_rows = dy.reshape(out_c, b, ho * wo)
+    # [outC, batch*H'W'] x [batch*H'W', C*k*k], summing over (sample, row,
+    # column) in order: the product np.tensordot forms on the
+    # [batch, outC, H', W'] layout. The reshape copies the transposed cols
+    # into a contiguous operand, except for a single sample, where it is a
+    # transposed view; OpenBLAS rounds small products of the two layouts
+    # differently, so the reshape must decide as it does in tensordot.
+    d_kernel = dy.reshape(out_c, -1) @ cols.transpose(0, 2, 1).reshape(b * ho * wo, -1)
+    # Pairwise sums over H'W' per (channel, sample), then added up sample
+    # by sample: the rows of a C-ordered [batch, outC] array, in order.
+    d_bias = np.ascontiguousarray(dy_rows.sum(axis=2).T).sum(axis=0)
+    d_kernel = d_kernel.reshape(kernel.shape)
     if not need_dx:
         return d_kernel, d_bias, None
-    d_cols = np.matmul(kernel.reshape(out_c, -1).T, dy_flat).reshape(b * in_c, k, k, ho, wo)
+    # Per-sample products, as in the forward: [C*k*k, outC] x [outC, H'W'].
+    dy_per_sample = np.ascontiguousarray(dy_rows.transpose(1, 0, 2))
+    d_cols = np.matmul(kernel.reshape(out_c, -1).T, dy_per_sample).reshape(b * in_c, k, k, ho, wo)
     # col2im in a spatial-major layout, [k, k, H', W', batch*C] and
     # [H, W, batch*C], so each shifted add writes whole destination rows
     # of W'*batch*C contiguous values (the d_cols source is a strided
@@ -273,24 +289,40 @@ def _pool_views(x: np.ndarray):
 
 
 def _maxpool2_fast(x: np.ndarray) -> np.ndarray:
-    """Pool without tracking the routing index (forward-only paths)."""
+    """Pool without routing: the maximum of each pair of rows, whose
+    elements are contiguous, then of each pair of columns. Which of
+    several NaNs, or of -0.0 and 0.0, in a window survives depends on
+    this order."""
     _check_pool_dims(x)
-    v00, v01, v10, v11 = _pool_views(x)
-    return np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
+    rows = np.maximum(x[:, :, 0::2], x[:, :, 1::2])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2])
 
 
-def _maxpool2_cached(x: np.ndarray):
-    """Pool and remember which window position held each maximum.
+def _maxpool2_cached(x: np.ndarray, relu: bool):
+    """Pool x, apply the ReLU (if any) to the pooled values, and record
+    which window position receives each output's gradient.
 
-    The index is the first position, in window order, whose value equals
-    the maximum: the same choice argmax makes, ties included.
+    Returns (out, route), where route[q] is a bool array shaped like out
+    that is set where position q, in window order, is routed. That is the
+    first position whose value equals the maximum, the choice argmax makes
+    on the ReLU output, ties included: a window whose ReLU output is 0
+    routes to position 0, and one whose maximum is NaN to position 3.
+    ReLU after pooling gives the same values as before it (max commutes
+    with max(., 0)), on a quarter of the elements.
     """
-    out = _maxpool2_fast(x)
-    arg = np.full(out.shape, 3, dtype=np.int8)
+    m = _maxpool2_fast(x)
+    out = np.maximum(m, 0.0) if relu else m
     views = _pool_views(x)
-    for q in (2, 1, 0):  # later positions first, so the earliest match wins
-        arg[views[q] == out] = q
-    return out, arg
+    route = [views[0] == m]
+    if relu:
+        route[0] |= out == 0
+    seen = route[0].copy()
+    for view in views[1:3]:
+        hit = view == m
+        route.append(hit > seen)  # hit and not seen
+        seen |= hit
+    route.append(~seen)
+    return out, route
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
@@ -301,10 +333,23 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     return _maxpool2_fast(x)
 
 
-def _maxpool2_backward(dy: np.ndarray, arg: np.ndarray, in_shape) -> np.ndarray:
-    dx = np.zeros(in_shape)
-    for q, view in enumerate(_pool_views(dx)):
-        view[...] = np.where(arg == q, dy, 0.0)
+def _maxpool2_backward(dy: np.ndarray, out: np.ndarray, route, relu: bool) -> np.ndarray:
+    """Input gradient of pool (+ReLU) in channel-major [C, batch, H, W] layout.
+
+    The routed position gets dy * (out > 0), every other position +0. At
+    the routed position the pre-activation is above 0 exactly when the
+    pooled output is, so this equals the routed dy times the full-size
+    (preact > 0) mask bit for bit, signed zeros and infinities included.
+    The values are placed by an integer multiply of their bit patterns by
+    the 0/1 route, which keeps -0.0 and NaN payloads as they are.
+    """
+    g = dy * (out > 0) if relu else dy
+    g = g.view(np.int64)
+    b, c, h, w = out.shape
+    dx = np.empty((c, b, 2 * h, 2 * w))
+    bits = dx.view(np.int64).transpose(1, 0, 2, 3)
+    for (i, j), routed in zip(_POOL_OFFSETS, route):
+        np.multiply(g, routed, out=bits[:, :, i::2, j::2])
     return dx
 
 
@@ -418,16 +463,15 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
                 a, cols = _conv2d_cached(layer.weight, layer.bias, a)
                 if want_cache:
                     cache["cols"] = cols
-        if layer.relu and not pool_first:
-            if want_cache:
-                cache["preact"] = a
-            a = np.maximum(a, 0.0)
-        if layer.pool and not pool_first:
-            if want_cache:
-                cache["pool_in_shape"] = a.shape
-                a, arg = _maxpool2_cached(a)
-                cache["pool_arg"] = arg
-            else:
+        if want_cache and layer.pool:
+            a, cache["route"] = _maxpool2_cached(a, layer.relu)
+            cache["pool_out"] = a
+        elif not pool_first:
+            if layer.relu:
+                if want_cache:
+                    cache["preact"] = a
+                a = np.maximum(a, 0.0)
+            if layer.pool:
                 a = _maxpool2_fast(a)
         if want_cache:
             caches.append(cache)
@@ -476,7 +520,7 @@ def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True)
     Returns (embeddings[batch, d], logits, caches). The embedding is the
     activation crossing the extractor boundary, flattened per sample.
     Forward-only callers pass want_cache=False and get the same values
-    cheaper: no routing indices, no retained intermediates, conv+pool
+    cheaper: no routing masks, no retained intermediates, conv+pool
     layers pool before their bias and ReLU, and the leading conv layers
     run in blocks of _CONV_BLOCK samples spread over _CONV_WORKERS threads.
     """
@@ -517,8 +561,8 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
         # first layer skips it.
         need_dx = idx > 0
         if layer.pool:
-            d = _maxpool2_backward(d, cache["pool_arg"], cache["pool_in_shape"])
-        if layer.relu:
+            d = _maxpool2_backward(d, cache["pool_out"], cache["route"], layer.relu)
+        elif layer.relu:
             d = d * (cache["preact"] > 0)
         if layer.kind == "dense":
             # Written straight into the buffer: copying a large dense
@@ -527,6 +571,8 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
             np.sum(d, axis=0, out=d_bias)
             d = (d @ layer.weight).reshape(cache["input_shape"]) if need_dx else None
         else:
+            if not layer.pool:  # the pool backward returns it channel-major
+                d = np.ascontiguousarray(d.transpose(1, 0, 2, 3))
             d_weight[...], d_bias[...], d = _conv2d_backward(
                 d, cache["cols"], cache["input_shape"], layer.weight, need_dx
             )

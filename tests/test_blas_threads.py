@@ -44,6 +44,16 @@ def hashes_by_threads() -> dict:
     "name",
     [
         "cnn4-fedpr-both",
+        pytest.param(
+            "cnn4-fedavg",
+            marks=pytest.mark.xfail(
+                _usable_cpus() >= 2,
+                reason="two OpenBLAS threads move low-order bits of conv2's kernel-gradient "
+                "GEMM ([20, 64*batch] x [64*batch, 250]) from batch 4 up; np.tensordot "
+                "forms the same product, with the same bits under each thread count",
+                strict=True,
+            ),
+        ),
         "mlp2-fedpr-unsquared",
         pytest.param(
             "mlp2-784-fedpr-unsquared",

@@ -165,6 +165,14 @@ def test_csv_roundtrip_within_1e6(tmp_path):
         assert b.wall_time_ms is None  # timings are not part of the artifact
 
 
+def test_csv_malformed_cell_names_path_and_row(tmp_path):
+    path = tmp_path / "rounds.csv"
+    write_round_csv([RoundRecord(1, 0.5, 0.25, None)], path)
+    path.write_text(path.read_text() + "2,abc,,,\n")
+    with pytest.raises(ConfigError, match=r"rounds\.csv: row 3 '2,abc,,,'"):
+        read_round_csv(path)
+
+
 # --- run subcommand ---------------------------------------------------------
 
 
@@ -386,6 +394,22 @@ def test_subsample_larger_than_dataset_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ConfigError" in err and "subsample_n" in err
     assert "5000" in err and "30" in err
+
+
+@pytest.mark.parametrize(
+    "key", ["learning_rate", "lambda", "synth_spread", "dirichlet_alpha"]
+)
+def test_infinite_value_names_key(tmp_path, capsys, key):
+    path = tmp_path / "inf.cfg"
+    path.write_text(
+        "dataset = synthetic\nmodel = mlp2\nrounds = 1\nnum_clients = 3\n"
+        f"synth_classes = 3\nsynth_per_class = 10\nsubsample_n = 30\n{key} = inf\n"
+    )
+    rc = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError: {key}: must be finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_external_config_dict_uses_external_names():

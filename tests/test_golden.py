@@ -1,4 +1,4 @@
-"""Golden hashes of the raw float64 state after two shrunken runs.
+"""Golden hashes of the raw float64 state after three shrunken runs.
 
 Each run's final parameters (layer order; weight then bias) followed by
 its global prototype vectors (ascending class) are hashed as
@@ -48,6 +48,22 @@ RUNS = {
         synth_test_per_class=30,
         subsample_n=150,
     ),
+    # FedAvg (lambda=0): the training step runs without a prototype pull,
+    # and partial last batches give several batch sizes.
+    "cnn4-fedavg": dict(
+        _SYNTH,
+        model="cnn4",
+        strategy="fedavg",
+        lam=0.0,
+        eval_inference="softmax",
+        num_clients=3,
+        dirichlet_alpha=0.5,
+        synth_dim=784,
+        synth_per_class=20,
+        synth_test_per_class=30,
+        subsample_n=150,
+        master_seed=1,
+    ),
     "mlp2-fedpr-unsquared": dict(
         _SYNTH,
         model="mlp2",
@@ -72,6 +88,13 @@ GOLDEN = {
         "records": [
             [2.304907215615143, 0.10333333333333333, 0.12],
             [2.3058371813314267, 0.10666666666666667, 0.12666666666666668],
+        ],
+    },
+    "cnn4-fedavg": {
+        "sha256": "771cf7e9ca88786210dca98513e535562474b0bf603bf53ff20ff18e22a07f9b",
+        "records": [
+            [2.3068791034663416, 0.11666666666666667, None],
+            [2.3064429011757808, 0.1, None],
         ],
     },
     "mlp2-fedpr-unsquared": {

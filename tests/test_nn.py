@@ -189,7 +189,8 @@ def test_conv_backward_input_grad_matches_shifted_add_loop():
     x = rng.normal(size=(4, 2, 7, 6))
     dy = rng.normal(size=(4, 3, 5, 4))
     _, cols = _conv2d_cached(kernel, np.zeros(3), x)
-    _, _, dx = _conv2d_backward(dy, cols, x.shape, kernel, need_dx=True)
+    dy_channel_major = np.ascontiguousarray(dy.transpose(1, 0, 2, 3))
+    _, _, dx = _conv2d_backward(dy_channel_major, cols, x.shape, kernel, need_dx=True)
     d_cols = np.matmul(kernel.reshape(3, -1).T, dy.reshape(4, 3, -1)).reshape(4, 2, 3, 3, 5, 4)
     expect = np.zeros(x.shape)
     for di in range(3):
@@ -279,11 +280,13 @@ def test_maxpool_routes_ties_to_first_max_in_window_order():
         x = tied_pool_input(rng)
         dy = rng.normal(size=(3, 2, 3, 4))
         expect_out, expect_arg, expect_dx = window_scan_pool(x, dy)
-        out, arg = _maxpool2_cached(x)
+        out, route = _maxpool2_cached(x, relu=False)
         assert np.array_equal(out, expect_out)
-        assert np.array_equal(arg, expect_arg)
+        assert np.array_equal(np.sum(route, axis=0), np.ones(out.shape))  # one position each
+        assert np.array_equal(np.argmax(route, axis=0), expect_arg)
         assert np.array_equal(out, maxpool2(x))
-        assert np.array_equal(_maxpool2_backward(dy, arg, x.shape), expect_dx)
+        dx = _maxpool2_backward(dy, out, route, False).transpose(1, 0, 2, 3)
+        assert np.array_equal(dx, expect_dx)
 
 
 # --- softmax cross-entropy --------------------------------------------------
