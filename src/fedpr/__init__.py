@@ -37,7 +37,6 @@ from .prototypes import (
     Prototype,
     aggregate_global_prototypes,
     compute_local_prototypes,
-    proto_distance,
 )
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "model_forward",
     "predict_nearest_prototype",
     "predict_softmax",
-    "proto_distance",
     "run_experiment",
     "run_round",
     "server_weighted_average",

@@ -16,13 +16,14 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, checks
 from .data import PartitionSpec
 from .errors import ConfigError
 from .evaluation import last_k_mean
 from .federation import (
+    DATASETS,
+    MODELS,
+    STRATEGIES,
     FederationConfig,
     RoundRecord,
     prepare_partition,
@@ -385,111 +386,19 @@ def _cmd_partition_report(args) -> int:
     return 0
 
 
-# --- selftest checks -------------------------------------------------------
-
-
-def _selftest_gradients() -> str | None:
-    from .nn import build_mlp2, finite_diff_gradient, loss_and_grad
-
-    rng = np.random.default_rng(20240001)
-    for trial in range(5):
-        in_dim, hidden, classes = 6, 10, 3
-        params = build_mlp2(rng, in_dim, classes, hidden=hidden)
-        batch = rng.standard_normal((4, in_dim))
-        labels = rng.integers(0, classes, size=4)
-        protos = {c: rng.standard_normal(hidden) for c in range(classes - 1)}
-        lam = [0.0, 0.5, 1.0][trial % 3]
-        report = loss_and_grad(params, batch, labels, protos, lam)
-        fd = finite_diff_gradient(
-            lambda p: loss_and_grad(p, batch, labels, protos, lam).total_loss, params
-        )
-        g = report.grads
-        rel = np.abs(g - fd) / np.maximum.reduce([np.abs(g), np.abs(fd), np.full_like(g, 1e-6)])
-        if rel.max() >= 1e-4:
-            return f"trial {trial}: max relative gradient error {rel.max():.2e}"
-    return None
-
-
-def _selftest_aggregation() -> str | None:
-    from .federation import server_weighted_average
-    from .nn import LayerParams, ModelParams
-    from .prototypes import Prototype, aggregate_global_prototypes
-
-    rng = np.random.default_rng(20240002)
-    for trial in range(20):
-        n_clients = int(rng.integers(1, 5))
-        dim = int(rng.integers(2, 6))
-        per_client = [
-            [Prototype(int(c), rng.standard_normal(dim), int(rng.integers(1, 9)))
-             for c in rng.choice(5, size=rng.integers(1, 4), replace=False)]
-            for _ in range(n_clients)
-        ]
-        agg = aggregate_global_prototypes(per_client)
-        for cls in agg.classes():
-            vecs = [p.vector for protos in per_client for p in protos if p.class_id == cls]
-            expect = np.sum(vecs, axis=0) / len(vecs)
-            if np.abs(agg.entries[cls].vector - expect).max() > 1e-12:
-                return f"trial {trial}: prototype mean mismatch for class {cls}"
-
-        models = []
-        weights = []
-        for _ in range(n_clients):
-            w = rng.standard_normal((3, 2))
-            b = rng.standard_normal(3)
-            models.append(ModelParams([LayerParams("fc", "dense", w, b)], 1))
-            weights.append(float(rng.integers(1, 10)))
-        avg = server_weighted_average(list(zip(models, weights)))
-        total = sum(weights)
-        expect_w = sum((wt / total) * m.layers[0].weight for m, wt in zip(models, weights))
-        if np.abs(avg.layers[0].weight - expect_w).max() > 1e-12:
-            return f"trial {trial}: weighted model average mismatch"
-    return None
-
-
-def _selftest_fedavg_identity() -> str | None:
-    cfg_avg = FederationConfig(
-        num_clients=3, rounds=2, dataset="synthetic", model="mlp2", strategy="fedavg",
-        lam=0.0, eval_inference="softmax", subsample_n=90, synth_classes=3, synth_dim=8,
-        synth_per_class=40, synth_test_per_class=10, dirichlet_alpha=0.5, master_seed=7,
-    )
-    cfg_pr0 = cfg_avg.replace(strategy="fedpr", eval_inference="softmax")
-    rec_avg = run_experiment(cfg_avg)
-    rec_pr0 = run_experiment(cfg_pr0)
-    for a, b in zip(rec_avg, rec_pr0):
-        if (a.mean_train_loss, a.test_accuracy_softmax) != (b.mean_train_loss, b.test_accuracy_softmax):
-            return f"round {a.round_index}: fedpr(lambda=0) != fedavg"
-    return None
-
-
-def _selftest_partition() -> str | None:
-    from .data import dirichlet_partition
-
-    rng = np.random.default_rng(20240003)
-    labels = rng.integers(0, 10, size=500)
-    for seed in range(3):
-        shards = dirichlet_partition(labels, 8, 0.3, seed)
-        merged = np.concatenate([s.indices for s in shards])
-        if len(merged) != len(labels) or len(np.unique(merged)) != len(labels):
-            return f"seed {seed}: partition not a disjoint cover"
-    return None
-
-
 def _cmd_selftest(args) -> int:
-    checks = [
-        ("gradient-check", _selftest_gradients),
-        ("aggregation-oracles", _selftest_aggregation),
-        ("fedavg-identity", _selftest_fedavg_identity),
-        ("partition-completeness", _selftest_partition),
-    ]
-    failed = False
-    for name, fn in checks:
-        detail = fn()
-        if detail is None:
-            print(f"selftest PASS {name}")
-        else:
-            print(f"selftest FAIL {name}: {detail}")
-            failed = True
-    return 1 if failed else 0
+    """Criteria 1-4 of the acceptance suite, at sizes that run in seconds."""
+    gradient = checks.gradient_error(5, 20240001)
+    aggregation = checks.aggregation_error(20, 20240002)
+    failures = {
+        "gradient-check": None if gradient < 1e-4 else f"max relative gradient error {gradient:.2e}",
+        "aggregation-oracles": None if aggregation <= 1e-12 else f"max deviation {aggregation:.2e}",
+        "fedavg-identity": checks.fedavg_mismatch(1, 20240004),
+        "partition-completeness": checks.partition_mismatch(3, 20240003, num_samples=500, num_clients=8),
+    }
+    for name, detail in failures.items():
+        print(f"selftest PASS {name}" if detail is None else f"selftest FAIL {name}: {detail}")
+    return 0 if all(detail is None for detail in failures.values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -498,43 +407,24 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_common_flags(sub, out_default="out") -> None:
-    sub.add_argument("--config", metavar="PATH", default=None, help="key = value config file")
-    sub.add_argument("--strategy", choices=["fedavg", "fedpr"], default=None)
-    sub.add_argument("--dataset", choices=["mnist", "fashion", "synthetic"], default=None)
-    sub.add_argument("--alpha", type=float, default=None, help="Dirichlet concentration")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None, help="prototype loss weight")
-    sub.add_argument("--rounds", type=int, default=None)
-    sub.add_argument("--epochs", type=int, default=None, help="local epochs per round")
-    sub.add_argument("--batch", type=int, default=None, help="local batch size")
-    sub.add_argument("--lr", type=float, default=None, help="learning rate")
-    sub.add_argument("--clients", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--model", choices=["cnn4", "mlp2"], default=None)
+    # Each flag's dest is the config key it sets (see _flag_overrides).
+    sub.add_argument("--config", metavar="PATH", help="key = value config file")
+    sub.add_argument("--strategy", choices=STRATEGIES)
+    sub.add_argument("--dataset", choices=DATASETS)
+    sub.add_argument("--alpha", dest="dirichlet_alpha", type=float, help="Dirichlet concentration")
+    sub.add_argument("--lambda", type=float, help="prototype loss weight")
+    sub.add_argument("--rounds", type=int)
+    sub.add_argument("--epochs", dest="local_epochs", type=int, help="local epochs per round")
+    sub.add_argument("--batch", dest="batch_size", type=int, help="local batch size")
+    sub.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+    sub.add_argument("--clients", dest="num_clients", type=int)
+    sub.add_argument("--seed", type=int, help="master seed")
+    sub.add_argument("--model", choices=MODELS)
     sub.add_argument("--out", metavar="DIR", default=out_default, help="artifact directory")
 
 
-_FLAG_TO_KEY = {
-    "strategy": "strategy",
-    "dataset": "dataset",
-    "alpha": "dirichlet_alpha",
-    "lam": "lambda",
-    "rounds": "rounds",
-    "epochs": "local_epochs",
-    "batch": "batch_size",
-    "lr": "learning_rate",
-    "clients": "num_clients",
-    "seed": "seed",
-    "model": "model",
-}
-
-
 def _flag_overrides(args) -> dict:
-    overrides = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+    return {key: getattr(args, key) for key in _KEY_TO_FIELD if getattr(args, key, None) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(report, out_default=None)
     report.set_defaults(func=_cmd_partition_report)
 
-    selftest = subs.add_parser("selftest", help="run built-in gradient/oracle checks")
+    selftest = subs.add_parser("selftest", help="run acceptance criteria 1-4 at small sizes")
     selftest.set_defaults(func=_cmd_selftest)
 
     return parser

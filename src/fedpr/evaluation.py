@@ -19,7 +19,6 @@ EVAL_MODES = ("softmax", "prototype", "both")
 
 @dataclass
 class EvalReport:
-    n_samples: int
     correct_softmax: int | None
     correct_prototype: int | None
     accuracy_softmax: float | None
@@ -32,13 +31,6 @@ def predict_softmax(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """Argmax over decision-head logits; ties go to the lowest class index."""
     _, logits = model_forward(params, inputs)
     return np.argmax(logits, axis=1)
-
-
-def _prototype_matrix(protos: GlobalPrototypeSet):
-    if not len(protos):
-        raise EmptyPrototypesError("no global prototypes available for inference")
-    classes = np.asarray(protos.classes(), dtype=np.int64)
-    return classes, np.stack([protos.entries[int(c)].vector for c in classes])
 
 
 def _nearest_class(emb: np.ndarray, classes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -60,7 +52,7 @@ def predict_nearest_prototype(
     Ties go to the lowest class index; classes without a prototype are
     never predicted.
     """
-    classes, matrix = _prototype_matrix(protos)
+    classes, matrix = protos.matrix()
     emb, _ = model_forward(params, inputs)
     return _nearest_class(emb, classes, matrix)
 
@@ -100,7 +92,7 @@ def evaluate_accuracy(
 
     classes = matrix = None
     if want_proto:
-        classes, matrix = _prototype_matrix(protos)
+        classes, matrix = protos.matrix()
     preds_softmax = [] if want_softmax else None
     preds_proto = [] if want_proto else None
     for start in range(0, len(testset), chunk):
@@ -111,20 +103,15 @@ def evaluate_accuracy(
         if want_proto:
             preds_proto.append(_nearest_class(emb, classes, matrix))
 
-    n = len(testset)
-    correct_s = acc_s = conf_s = None
-    correct_p = acc_p = conf_p = None
-    if want_softmax:
-        correct_s, conf_s = tally_predictions(
-            np.concatenate(preds_softmax), testset.labels, testset.num_classes
-        )
-        acc_s = correct_s / n
-    if want_proto:
-        correct_p, conf_p = tally_predictions(
-            np.concatenate(preds_proto), testset.labels, testset.num_classes
-        )
-        acc_p = correct_p / n
-    return EvalReport(n, correct_s, correct_p, acc_s, acc_p, conf_s, conf_p)
+    def score(preds):
+        if preds is None:
+            return None, None, None
+        correct, confusion = tally_predictions(np.concatenate(preds), testset.labels, testset.num_classes)
+        return correct, correct / len(testset), confusion
+
+    correct_s, acc_s, conf_s = score(preds_softmax)
+    correct_p, acc_p, conf_p = score(preds_proto)
+    return EvalReport(correct_s, correct_p, acc_s, acc_p, conf_s, conf_p)
 
 
 def last_k_mean(records, k: int, field: str) -> float:

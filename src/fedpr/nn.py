@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -583,40 +583,20 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
     return grads
 
 
-def _class_vectors(protos) -> dict[int, np.ndarray]:
-    """Accept a GlobalPrototypeSet, a plain {class: vector} mapping, or None."""
-    if protos is None:
-        return {}
-    if hasattr(protos, "class_vectors"):
-        return protos.class_vectors()
-    if isinstance(protos, Mapping):
-        return {int(k): np.asarray(v, dtype=np.float64) for k, v in protos.items()}
-    raise TypeError(f"unsupported prototype container {type(protos).__name__}")
-
-
 def _prototype_pull(
     emb: np.ndarray,
     labels: np.ndarray,
-    vectors: dict[int, np.ndarray],
-    num_classes: int,
+    table: np.ndarray,
+    has_proto: np.ndarray,
     proto_form: str,
 ):
     """Batch-mean pull term and its gradient w.r.t. the embeddings.
 
-    Each row's prototype is gathered from a [classes, d] matrix; rows whose
-    class has no prototype add nothing to the loss and get a zero gradient.
+    Each row's prototype is gathered from a [classes, d] table; rows whose
+    class has no prototype (``has_proto`` false) add nothing to the loss
+    and get a zero gradient.
     """
-    n, dim = emb.shape
-    table = np.zeros((num_classes, dim))
-    has_proto = np.zeros(num_classes, dtype=bool)
-    for cls, vec in vectors.items():
-        if vec.shape != (dim,):
-            raise DimensionError(
-                f"prototype for class {cls} has shape {vec.shape}, embeddings have dimension {dim}"
-            )
-        if 0 <= cls < num_classes:
-            table[cls] = vec
-            has_proto[cls] = True
+    n = emb.shape[0]
     rows = np.flatnonzero(has_proto[labels])
     diff = emb[rows] - table[labels[rows]]
     # vecdot (numpy >= 2.0) reproduces `diff_i @ diff_i` bit for bit;
@@ -646,11 +626,18 @@ def loss_and_grad(
 
     The pull term averages, over the whole batch, the squared distance
     between each sample's embedding and the global prototype of its
-    class; samples whose class has no prototype contribute 0. With
+    class in ``global_protos``, a GlobalPrototypeSet or None; samples
+    whose class has no prototype contribute 0. With
     proto_form="unsquared" the plain Euclidean distance is used instead
     (zero-distance samples get a zero subgradient). The prototype is a
     constant: its gradient flows into the extractor layers only.
     """
+    from .prototypes import GlobalPrototypeSet  # prototypes imports this module
+
+    if global_protos is not None and not isinstance(global_protos, GlobalPrototypeSet):
+        raise TypeError(
+            f"global_protos must be a GlobalPrototypeSet or None, got {type(global_protos).__name__}"
+        )
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     if proto_form not in ("squared", "unsquared"):
@@ -659,11 +646,11 @@ def loss_and_grad(
     emb, logits, caches = _forward_cached(params, batch)
     ce_loss, dlogits = softmax_cross_entropy(logits, labels)
 
-    vectors = _class_vectors(global_protos)
     proto_loss = 0.0
     d_emb = None
-    if vectors:
-        proto_loss, d_emb = _prototype_pull(emb, labels, vectors, logits.shape[1], proto_form)
+    if global_protos:
+        table, has_proto = global_protos.pull_table(logits.shape[1], emb.shape[1])
+        proto_loss, d_emb = _prototype_pull(emb, labels, table, has_proto, proto_form)
 
     total = ce_loss + lam * proto_loss
     inject = d_emb * lam if (d_emb is not None and lam != 0.0) else None

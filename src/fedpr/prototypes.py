@@ -1,5 +1,5 @@
 """Per-class embedding prototypes: local computation, global aggregation,
-and the distance primitive shared by the loss and by inference."""
+and the prototype set that the loss and inference read."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ClientShard, Dataset
-from .errors import DimensionError
+from .errors import DimensionError, EmptyPrototypesError
 from .nn import ModelParams, model_forward
 
 _EVAL_CHUNK = 256
@@ -46,6 +46,11 @@ class GlobalPrototypeSet:
     def empty(cls, round_index: int = 0) -> "GlobalPrototypeSet":
         return cls({}, round_index)
 
+    @classmethod
+    def from_vectors(cls, vectors) -> "GlobalPrototypeSet":
+        """One single-contributor prototype per {class: vector} item."""
+        return cls({int(j): GlobalPrototype(np.asarray(v, dtype=np.float64), 1) for j, v in vectors.items()})
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -57,6 +62,32 @@ class GlobalPrototypeSet:
 
     def class_vectors(self) -> dict[int, np.ndarray]:
         return {j: self.entries[j].vector for j in sorted(self.entries)}
+
+    def matrix(self, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted class ids and their vectors as matrix rows, each of shape
+        (dim,), by default the first one's; raises EmptyPrototypesError if empty."""
+        if not self.entries:
+            raise EmptyPrototypesError("no global prototypes available")
+        classes = self.classes()
+        vectors = [self.entries[j].vector for j in classes]
+        dim = len(vectors[0]) if dim is None else dim
+        for j, vec in zip(classes, vectors):
+            if vec.shape != (dim,):
+                raise DimensionError(
+                    f"prototype for class {j} has shape {vec.shape}, expected dimension {dim}"
+                )
+        return np.asarray(classes, dtype=np.int64), np.array(vectors)
+
+    def pull_table(self, num_classes: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """A [num_classes, dim] table of prototypes, zero where a class has
+        none, and its has-prototype mask; classes outside the table are left out."""
+        classes, matrix = self.matrix(dim)
+        lo, hi = np.searchsorted(classes, (0, num_classes))  # the classes are sorted
+        table = np.zeros((num_classes, dim))
+        table[classes[lo:hi]] = matrix[lo:hi]
+        has_proto = np.zeros(num_classes, dtype=bool)
+        has_proto[classes[lo:hi]] = True
+        return table, has_proto
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,15 +198,3 @@ def aggregate_global_prototypes(
         denom = float(len(client_list)) if denominator == "all_clients" else weight_totals[cls]
         entries[cls] = GlobalPrototype(sums[cls] / denom, contributors[cls])
     return GlobalPrototypeSet(entries, round_index)
-
-
-def proto_distance(embedding: np.ndarray, prototype_vector: np.ndarray) -> float:
-    """Squared Euclidean distance (same argmin as the unsquared form)."""
-    embedding = np.asarray(embedding, dtype=np.float64)
-    prototype_vector = np.asarray(prototype_vector, dtype=np.float64)
-    if embedding.shape != prototype_vector.shape:
-        raise DimensionError(
-            f"embedding {embedding.shape} vs prototype {prototype_vector.shape}"
-        )
-    diff = embedding - prototype_vector
-    return float(diff @ diff)

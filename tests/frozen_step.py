@@ -16,7 +16,6 @@ import numpy as np
 
 from fedpr.nn import (
     BatchLossReport,
-    _class_vectors,
     _layer_views,
     _prototype_pull,
     softmax_cross_entropy,
@@ -140,11 +139,11 @@ def loss_and_grad(params, batch, labels, global_protos=None, lam=1.0, proto_form
     labels = np.asarray(labels, dtype=np.int64)
     emb, logits, caches = forward_cached(params, batch)
     ce_loss, dlogits = softmax_cross_entropy(logits, labels)
-    vectors = _class_vectors(global_protos)
     proto_loss = 0.0
     d_emb = None
-    if vectors:
-        proto_loss, d_emb = _prototype_pull(emb, labels, vectors, logits.shape[1], proto_form)
+    if global_protos:
+        table, has_proto = global_protos.pull_table(logits.shape[1], emb.shape[1])
+        proto_loss, d_emb = _prototype_pull(emb, labels, table, has_proto, proto_form)
     total = ce_loss + lam * proto_loss
     inject = d_emb * lam if (d_emb is not None and lam != 0.0) else None
     return BatchLossReport(total, ce_loss, proto_loss, backward(params, caches, dlogits, inject))

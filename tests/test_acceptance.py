@@ -12,12 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from fedpr import checks
 from fedpr.cli import build_artifact, write_round_csv, write_summary
-from fedpr.data import class_counts, dirichlet_partition, find_idx_file
+from fedpr.data import find_idx_file
 from fedpr.evaluation import last_k_mean
-from fedpr.federation import FederationConfig, run_experiment, server_weighted_average
-from fedpr.nn import LayerParams, ModelParams, build_mlp2, finite_diff_gradient, loss_and_grad
-from fedpr.prototypes import Prototype, aggregate_global_prototypes
+from fedpr.federation import FederationConfig, run_experiment
 
 DATA_DIR = os.environ.get("FEDPR_DATA_DIR", "data")
 
@@ -80,29 +79,12 @@ def first_round_reaching(records, threshold: float) -> float:
     return math.inf
 
 
-# --- criterion 1: gradient correctness --------------------------------------
+# --- criteria 1-4: the checks `fedpr selftest` runs, at full size -----------
 
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
-    rng = np.random.default_rng(0xC1)
-    worst = 0.0
-    for trial in range(50):
-        in_dim = int(rng.integers(3, 11))
-        hidden = int(rng.integers(4, 17))
-        classes = int(rng.integers(2, 6))
-        params = build_mlp2(rng, in_dim, classes, hidden=hidden)
-        assert params.num_params <= 2000
-        batch = rng.standard_normal((int(rng.integers(2, 7)), in_dim))
-        labels = rng.integers(0, classes, size=len(batch))
-        protos = {c: rng.standard_normal(hidden) for c in range(classes) if rng.random() < 0.75}
-        lam = [0.0, 0.5, 1.0][trial % 3]
-        analytic = loss_and_grad(params, batch, labels, protos, lam).grads
-        numeric = finite_diff_gradient(
-            lambda p: loss_and_grad(p, batch, labels, protos, lam).total_loss, params, eps=1e-5
-        )
-        denom = np.maximum.reduce([np.abs(analytic), np.abs(numeric), np.full_like(analytic, 1e-6)])
-        worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
+    worst = checks.gradient_error(50, 0xC1)
     elapsed = time.perf_counter() - start
     check(
         1,
@@ -111,77 +93,20 @@ def test_criterion_1_gradient_correctness():
     )
 
 
-# --- criterion 2: fedavg reduction ------------------------------------------
-
-
-def test_criterion_2_fedavg_reduction_bitwise(tmp_path):
+def test_criterion_2_fedavg_reduction_bitwise():
     start = time.perf_counter()
-    meta_rng = np.random.default_rng(0xC2)
-    for seed in range(10):
-        base = dict(
-            num_clients=int(meta_rng.integers(2, 6)),
-            rounds=3,
-            local_epochs=int(meta_rng.integers(1, 3)),
-            batch_size=int(meta_rng.choice([4, 8])),
-            dirichlet_alpha=float(meta_rng.choice([0.1, 0.5, 2.0])),
-            dataset="synthetic",
-            model="mlp2",
-            master_seed=seed,
-            subsample_n=100,
-            synth_classes=4,
-            synth_dim=10,
-            synth_per_class=30,
-            synth_test_per_class=10,
-            eval_inference="softmax",
-        )
-        rec_avg = run_experiment(FederationConfig(strategy="fedavg", lam=0.0, **base))
-        rec_pr0 = run_experiment(FederationConfig(strategy="fedpr", lam=0.0, **base))
-        path_avg = tmp_path / f"avg_{seed}.csv"
-        path_pr0 = tmp_path / f"pr0_{seed}.csv"
-        write_round_csv(rec_avg, path_avg)
-        write_round_csv(rec_pr0, path_pr0)
-        if path_avg.read_bytes() != path_pr0.read_bytes():
-            check(2, False, f"seed {seed}: fedpr(lambda=0) rounds.csv differs from fedavg")
+    mismatch = checks.fedavg_mismatch(10, 0xC2)
     elapsed = time.perf_counter() - start
-    check(2, elapsed < 60.0, f"10 seeds bit-identical rounds.csv, {elapsed:.1f}s (< 60s)")
-
-
-# --- criterion 3: aggregation oracles ---------------------------------------
+    check(
+        2,
+        mismatch is None and elapsed < 60.0,
+        f"{mismatch or '10 seeds, fedpr(lambda=0) rounds equal to fedavg'}, {elapsed:.1f}s (< 60s)",
+    )
 
 
 def test_criterion_3_aggregation_oracles():
     start = time.perf_counter()
-    rng = np.random.default_rng(0xC3)
-    worst = 0.0
-    for _ in range(100):
-        n_clients = int(rng.integers(1, 6))
-        dim = int(rng.integers(1, 8))
-        clients = [
-            [
-                Prototype(int(c), rng.standard_normal(dim), int(rng.integers(1, 12)))
-                for c in rng.choice(6, size=int(rng.integers(1, 5)), replace=False)
-            ]
-            for _ in range(n_clients)
-        ]
-        agg = aggregate_global_prototypes(clients)
-        for cls in agg.classes():
-            vectors = [p.vector for protos in clients for p in protos if p.class_id == cls]
-            brute = np.sum(vectors, axis=0) / len(vectors)
-            worst = max(worst, float(np.abs(agg.entries[cls].vector - brute).max()))
-
-        models = [
-            ModelParams(
-                [LayerParams("fc", "dense", rng.standard_normal((3, 2)), rng.standard_normal(3))], 1
-            )
-            for _ in range(n_clients)
-        ]
-        weights = [float(rng.integers(1, 30)) for _ in range(n_clients)]
-        avg = server_weighted_average(list(zip(models, weights)))
-        total = sum(weights)
-        brute_w = sum((w / total) * m.layers[0].weight for m, w in zip(models, weights))
-        brute_b = sum((w / total) * m.layers[0].bias for m, w in zip(models, weights))
-        worst = max(worst, float(np.abs(avg.layers[0].weight - brute_w).max()))
-        worst = max(worst, float(np.abs(avg.layers[0].bias - brute_b).max()))
+    worst = checks.aggregation_error(100, 0xC3)
     elapsed = time.perf_counter() - start
     check(
         3,
@@ -190,34 +115,15 @@ def test_criterion_3_aggregation_oracles():
     )
 
 
-# --- criterion 4: partition properties --------------------------------------
-
-
 def test_criterion_4_partition_properties():
     start = time.perf_counter()
-    rng = np.random.default_rng(0xC4)
-    labels = rng.integers(0, 10, size=2000)
-
-    def mean_max_share(alpha):
-        shares = []
-        for seed in range(20):
-            shards = dirichlet_partition(labels, 10, alpha, seed=seed)
-            merged = np.concatenate([s.indices for s in shards])
-            assert len(merged) == len(labels), "partition lost samples"
-            assert len(np.unique(merged)) == len(labels), "partition duplicated samples"
-            counts = class_counts(shards, labels, 10)
-            sizes = counts.sum(axis=1)
-            shares.extend(counts[i].max() / sizes[i] for i in range(10) if sizes[i])
-        return float(np.mean(shares))
-
-    skewed = mean_max_share(0.05)
-    flat = mean_max_share(10.0)
+    mismatch = checks.partition_mismatch(20, 0xC4, num_samples=2000, num_clients=10)
     elapsed = time.perf_counter() - start
     check(
         4,
-        skewed > flat and elapsed < 10.0,
-        f"completeness exact over 40 partitions; max-class share {skewed:.3f} @ alpha=0.05 "
-        f"> {flat:.3f} @ alpha=10, {elapsed:.1f}s (< 10s)",
+        mismatch is None and elapsed < 10.0,
+        f"{mismatch or 'exact cover over 40 partitions, more skew at alpha=0.05 than at 10'}, "
+        f"{elapsed:.1f}s (< 10s)",
     )
 
 

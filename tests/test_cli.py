@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fedpr import checks
 from fedpr.cli import (
     build_artifact,
     config_external_dict,
@@ -306,6 +307,14 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "fedavg_mismatch", lambda runs, seed: "round 2 differs")
+    assert run_cli(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "selftest FAIL fedavg-identity: round 2 differs" in out
+    assert out.count("PASS") == 3
 
 
 def test_missing_config_file_is_structured_error(tmp_path, capsys):

@@ -12,18 +12,12 @@ from fedpr.evaluation import (
 )
 from fedpr.federation import RoundRecord
 from fedpr.nn import LayerParams, ModelParams
-from fedpr.prototypes import GlobalPrototype, GlobalPrototypeSet
+from fedpr.prototypes import GlobalPrototypeSet
 
 
 def passthrough_model(dim):
     """Logits (and embedding) equal the raw input."""
     return ModelParams([LayerParams("id", "dense", np.eye(dim), np.zeros(dim))], 1)
-
-
-def proto_set(vectors):
-    return GlobalPrototypeSet(
-        {cls: GlobalPrototype(np.asarray(v, dtype=np.float64), 1) for cls, v in vectors.items()}, 0
-    )
 
 
 # --- softmax path -----------------------------------------------------------
@@ -55,20 +49,20 @@ def test_softmax_matches_linear_scan():
 
 
 def test_exact_prototype_match_wins():
-    protos = proto_set({1: [5.0, 5.0], 3: [1.0, -1.0], 4: [9.0, 9.0]})
+    protos = GlobalPrototypeSet.from_vectors({1: [5.0, 5.0], 3: [1.0, -1.0], 4: [9.0, 9.0]})
     preds = predict_nearest_prototype(passthrough_model(2), protos, np.array([[1.0, -1.0]]))
     assert preds.tolist() == [3]
 
 
 def test_single_prototype_forces_prediction():
-    protos = proto_set({7: [0.0, 0.0]})
+    protos = GlobalPrototypeSet.from_vectors({7: [0.0, 0.0]})
     rng = np.random.default_rng(1)
     preds = predict_nearest_prototype(passthrough_model(2), protos, rng.normal(size=(5, 2)))
     assert preds.tolist() == [7] * 5
 
 
 def test_prototype_tie_breaks_to_lowest_class():
-    protos = proto_set({2: [1.0, 0.0], 5: [1.0, 0.0]})
+    protos = GlobalPrototypeSet.from_vectors({2: [1.0, 0.0], 5: [1.0, 0.0]})
     preds = predict_nearest_prototype(passthrough_model(2), protos, np.array([[0.0, 0.0]]))
     assert preds.tolist() == [2]
 
@@ -76,7 +70,7 @@ def test_prototype_tie_breaks_to_lowest_class():
 def test_blob_anchors_classify_blobs_perfectly():
     ds = synthetic_blobs(4, 8, per_class=25, spread=0.01, seed=2)
     anchors = blob_anchors(4, 8)
-    protos = proto_set({c: anchors[c] for c in range(4)})
+    protos = GlobalPrototypeSet.from_vectors({c: anchors[c] for c in range(4)})
     preds = predict_nearest_prototype(passthrough_model(8), protos, ds.images)
     assert np.array_equal(preds, ds.labels)
 
@@ -87,21 +81,31 @@ def test_empty_prototypes_rejected():
 
 
 def test_prototype_dimension_mismatch():
-    protos = proto_set({0: [1.0, 2.0, 3.0]})
+    protos = GlobalPrototypeSet.from_vectors({0: [1.0, 2.0, 3.0]})
     with pytest.raises(DimensionError):
         predict_nearest_prototype(passthrough_model(2), protos, np.zeros((1, 2)))
+
+
+def test_prototype_of_a_class_outside_the_dataset_is_predicted_then_rejected():
+    # Unlike the loss, inference keeps every prototype; scoring then
+    # rejects a predicted class outside [0, num_classes).
+    ds = Dataset(np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 0.0]]), np.array([0, 1, 1]), 2)
+    protos = GlobalPrototypeSet.from_vectors({-1: [-5.0, 0.0], 0: [0.0, 0.0], 7: [5.0, 5.0]})
+    assert predict_nearest_prototype(passthrough_model(2), protos, ds.images).tolist() == [0, 7, -1]
+    with pytest.raises(DimensionError, match="prediction values outside"):
+        evaluate_accuracy(passthrough_model(2), protos, ds, mode="prototype")
 
 
 def test_scaling_distances_keeps_predictions():
     rng = np.random.default_rng(3)
     vectors = {c: rng.normal(size=4) for c in range(3)}
     x = rng.normal(size=(10, 4))
-    base = predict_nearest_prototype(passthrough_model(4), proto_set(vectors), x)
+    base = predict_nearest_prototype(passthrough_model(4), GlobalPrototypeSet.from_vectors(vectors), x)
     # scaling every embedding/prototype by the same positive constant
     # scales all distances by its square and keeps every argmin
     scaled_model = ModelParams([LayerParams("id", "dense", 3.0 * np.eye(4), np.zeros(4))], 1)
     scaled = predict_nearest_prototype(
-        scaled_model, proto_set({c: 3.0 * v for c, v in vectors.items()}), x
+        scaled_model, GlobalPrototypeSet.from_vectors({c: 3.0 * v for c, v in vectors.items()}), x
     )
     assert np.array_equal(base, scaled)
 
@@ -141,7 +145,7 @@ def test_flipping_one_prediction_costs_one_over_n():
 def test_evaluate_perfect_on_separable_blobs():
     ds = synthetic_blobs(3, 6, per_class=20, spread=0.005, seed=5)
     anchors = blob_anchors(3, 6)
-    protos = proto_set({c: anchors[c] for c in range(3)})
+    protos = GlobalPrototypeSet.from_vectors({c: anchors[c] for c in range(3)})
     report = evaluate_accuracy(passthrough_model(6), protos, ds, mode="prototype")
     assert report.accuracy_prototype == 1.0
     assert report.correct_prototype == len(ds)
@@ -150,7 +154,7 @@ def test_evaluate_perfect_on_separable_blobs():
 
 def test_evaluate_single_class_testset_with_forced_predictor():
     ds = Dataset(np.random.default_rng(6).normal(size=(8, 3)), np.full(8, 2), 4)
-    protos = proto_set({2: [0.0, 0.0, 0.0]})
+    protos = GlobalPrototypeSet.from_vectors({2: [0.0, 0.0, 0.0]})
     report = evaluate_accuracy(passthrough_model(3), protos, ds, mode="prototype")
     assert report.accuracy_prototype == 1.0
 
@@ -169,7 +173,7 @@ def anchor_head_model(num_classes, dim):
 def test_evaluate_both_modes_populates_confusions():
     ds = synthetic_blobs(3, 5, per_class=10, spread=0.2, seed=7)
     anchors = blob_anchors(3, 5)
-    protos = proto_set({c: anchors[c] for c in range(3)})
+    protos = GlobalPrototypeSet.from_vectors({c: anchors[c] for c in range(3)})
     report = evaluate_accuracy(anchor_head_model(3, 5), protos, ds, mode="both", chunk=7)
     assert report.confusion_softmax.shape == (3, 3)
     assert report.confusion_prototype.shape == (3, 3)

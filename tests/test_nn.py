@@ -33,7 +33,7 @@ from fedpr.nn import (
     _maxpool2_cached,
     _prototype_pull,
 )
-from fedpr.prototypes import aggregate_global_prototypes, compute_local_prototypes
+from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes, compute_local_prototypes
 
 
 def max_rel_err(analytic, fd, floor=1e-6):
@@ -534,7 +534,7 @@ def test_loss_lambda_zero_equals_pure_ce():
     params = build_mlp2(rng, 5, 3, hidden=7)
     x = rng.normal(size=(4, 5))
     y = rng.integers(0, 3, size=4)
-    protos = {c: rng.normal(size=7) for c in range(3)}
+    protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=7) for c in range(3)})
     plain = loss_and_grad(params, x, y, None, 0.0)
     with_protos = loss_and_grad(params, x, y, protos, 0.0)
     assert with_protos.total_loss == plain.ce_loss == plain.total_loss
@@ -546,7 +546,7 @@ def test_loss_zero_distance_prototypes():
     params = identity_extractor_model(4, 2, rng)
     x = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], [0.5, 0.0, -1.0, 2.0]])
     y = [0, 0, 1]
-    protos = {0: x[0].copy(), 1: x[2].copy()}
+    protos = GlobalPrototypeSet.from_vectors({0: x[0].copy(), 1: x[2].copy()})
     report = loss_and_grad(params, x, y, protos, lam=1.0)
     assert report.proto_loss == 0.0
 
@@ -556,7 +556,7 @@ def test_loss_missing_class_contributes_zero():
     params = identity_extractor_model(3, 2, rng)
     x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     y = [0, 1]
-    only_zero = {0: np.zeros(3)}
+    only_zero = GlobalPrototypeSet.from_vectors({0: np.zeros(3)})
     report = loss_and_grad(params, x, y, only_zero, lam=1.0)
     # sample 0: squared distance 1; sample 1: no prototype, contributes 0
     assert report.proto_loss == pytest.approx(0.5, abs=1e-15)
@@ -567,7 +567,7 @@ def test_loss_gradient_matches_finite_difference():
     params = build_mlp2(rng, 6, 3, hidden=9)
     x = rng.normal(size=(5, 6))
     y = rng.integers(0, 3, size=5)
-    protos = {0: rng.normal(size=9), 2: rng.normal(size=9)}
+    protos = GlobalPrototypeSet.from_vectors({0: rng.normal(size=9), 2: rng.normal(size=9)})
     report = loss_and_grad(params, x, y, protos, lam=1.0)
     fd = finite_diff_gradient(
         lambda p: loss_and_grad(p, x, y, protos, 1.0).total_loss, params, eps=1e-5
@@ -580,7 +580,7 @@ def test_loss_gradient_conv_path_matches_finite_difference():
     params = build_cnn4(rng, num_classes=3, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
     x = rng.normal(size=(2, 1, 14, 14)) * 0.5
     y = np.array([0, 2])
-    protos = {c: rng.normal(size=5) for c in range(3)}
+    protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=5) for c in range(3)})
     report = loss_and_grad(params, x, y, protos, lam=0.5)
     fd = finite_diff_gradient(
         lambda p: loss_and_grad(p, x, y, protos, 0.5).total_loss, params, eps=1e-5
@@ -593,7 +593,7 @@ def test_loss_gradient_unsquared_form_matches_finite_difference():
     params = build_mlp2(rng, 4, 2, hidden=6)
     x = rng.normal(size=(3, 4))
     y = rng.integers(0, 2, size=3)
-    protos = {0: rng.normal(size=6), 1: rng.normal(size=6)}
+    protos = GlobalPrototypeSet.from_vectors({0: rng.normal(size=6), 1: rng.normal(size=6)})
     report = loss_and_grad(params, x, y, protos, lam=1.0, proto_form="unsquared")
     fd = finite_diff_gradient(
         lambda p: loss_and_grad(p, x, y, protos, 1.0, "unsquared").total_loss, params, eps=1e-5
@@ -607,7 +607,7 @@ def test_loss_decomposition_exact():
         params = build_mlp2(rng, 4, 3, hidden=5)
         x = rng.normal(size=(3, 4))
         y = rng.integers(0, 3, size=3)
-        protos = {c: rng.normal(size=5) for c in range(2)}
+        protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=5) for c in range(2)})
         lam = float(rng.uniform(0, 2))
         report = loss_and_grad(params, x, y, protos, lam)
         assert abs(report.total_loss - (report.ce_loss + lam * report.proto_loss)) <= 1e-12
@@ -616,8 +616,29 @@ def test_loss_decomposition_exact():
 def test_loss_prototype_dimension_mismatch():
     rng = np.random.default_rng(18)
     params = build_mlp2(rng, 4, 2, hidden=6)
+    protos = GlobalPrototypeSet.from_vectors({0: np.zeros(5)})
     with pytest.raises(DimensionError, match="dimension"):
-        loss_and_grad(params, rng.normal(size=(2, 4)), [0, 1], {0: np.zeros(5)}, 1.0)
+        loss_and_grad(params, rng.normal(size=(2, 4)), [0, 1], protos, 1.0)
+
+
+def test_loss_rejects_a_dict_of_prototypes():
+    rng = np.random.default_rng(20)
+    params = build_mlp2(rng, 4, 2, hidden=6)
+    with pytest.raises(TypeError, match="GlobalPrototypeSet or None, got dict"):
+        loss_and_grad(params, rng.normal(size=(2, 4)), [0, 1], {0: np.zeros(6)}, 1.0)
+
+
+def test_loss_ignores_prototypes_of_classes_outside_the_model():
+    rng = np.random.default_rng(21)
+    params = build_mlp2(rng, 4, 3, hidden=6)
+    x = rng.normal(size=(5, 4))
+    y = np.array([0, 1, 2, 1, 0])
+    inside = {0: rng.normal(size=6), 2: rng.normal(size=6)}
+    outside = {-1: rng.normal(size=6), 3: rng.normal(size=6), 12: rng.normal(size=6)}
+    want = loss_and_grad(params, x, y, GlobalPrototypeSet.from_vectors(inside), 1.0)
+    got = loss_and_grad(params, x, y, GlobalPrototypeSet.from_vectors({**inside, **outside}), 1.0)
+    assert got.total_loss == want.total_loss and got.proto_loss == want.proto_loss
+    assert got.grads.tobytes() == want.grads.tobytes()
 
 
 def loop_prototype_pull(emb, labels, vectors, proto_form):
@@ -660,7 +681,8 @@ def test_prototype_pull_matches_loop_bitwise(proto_form):
         n = int(rng.integers(1, 20))
         dim = int(rng.choice([1, 5, 50, 128]))
         emb, labels, vectors = random_pull_case(rng, n, dim, 10)
-        loss, d_emb = _prototype_pull(emb, labels, vectors, 10, proto_form)
+        table, has_proto = GlobalPrototypeSet.from_vectors(vectors).pull_table(10, dim)
+        loss, d_emb = _prototype_pull(emb, labels, table, has_proto, proto_form)
         expect_loss, expect_d_emb = loop_prototype_pull(emb, labels, vectors, proto_form)
         assert loss == expect_loss
         assert np.array_equal(d_emb, expect_d_emb)
@@ -684,7 +706,8 @@ def test_loss_grads_match_loop_pull_bitwise(model, proto_form):
     expect_pull, d_emb = loop_prototype_pull(emb, y, vectors, proto_form)
     expect_grads = _backward(params, caches, dlogits, d_emb * 0.5)
 
-    report = loss_and_grad(params, x, y, vectors, lam=0.5, proto_form=proto_form)
+    protos = GlobalPrototypeSet.from_vectors(vectors)
+    report = loss_and_grad(params, x, y, protos, lam=0.5, proto_form=proto_form)
     assert report.ce_loss == ce
     assert report.proto_loss == expect_pull
     assert report.total_loss == ce + 0.5 * expect_pull
@@ -696,7 +719,7 @@ def test_loss_finiteness_on_random_inputs():
     params = build_mlp2(rng, 5, 4, hidden=6)
     x = rng.normal(size=(6, 5)) * 10
     y = rng.integers(0, 4, size=6)
-    report = loss_and_grad(params, x, y, {0: rng.normal(size=6)}, 1.0)
+    report = loss_and_grad(params, x, y, GlobalPrototypeSet.from_vectors({0: rng.normal(size=6)}), 1.0)
     assert math.isfinite(report.total_loss)
     assert np.isfinite(report.grads).all()
 
@@ -837,7 +860,9 @@ def test_gradient_property_small_models():
         assert params.num_params < 2000
         x = rng.normal(size=(4, in_dim))
         y = rng.integers(0, classes, size=4)
-        protos = {c: rng.normal(size=hidden) for c in range(classes) if rng.random() < 0.7}
+        protos = GlobalPrototypeSet.from_vectors(
+            {c: rng.normal(size=hidden) for c in range(classes) if rng.random() < 0.7}
+        )
         report = loss_and_grad(params, x, y, protos, lam)
         fd = finite_diff_gradient(
             lambda p: loss_and_grad(p, x, y, protos, lam).total_loss, params, eps=1e-5

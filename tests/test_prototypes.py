@@ -1,17 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
 from fedpr.data import ClientShard, Dataset
-from fedpr.errors import DimensionError
+from fedpr.errors import DimensionError, EmptyPrototypesError
+from fedpr.evaluation import _nearest_class
 from fedpr.nn import LayerParams, ModelParams, build_mlp2, model_forward
 from fedpr.prototypes import (
     GlobalPrototypeSet,
     Prototype,
     aggregate_global_prototypes,
     compute_local_prototypes,
-    proto_distance,
 )
 
 
@@ -182,40 +180,36 @@ def test_aggregation_rejects_unknown_denominator():
         aggregate_global_prototypes([], denominator="median")
 
 
-# --- distance ---------------------------------------------------------------
-
-
-def test_distance_identical_vectors_zero():
-    v = np.array([1.0, -2.0, 0.5])
-    assert proto_distance(v, v) == 0.0
-
-
-def test_distance_three_four_five():
-    squared = proto_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
-    assert squared == 25.0
-    assert math.sqrt(squared) == pytest.approx(5.0, abs=1e-15)
-
-
-def test_distance_matches_sum_oracle():
-    rng = np.random.default_rng(105)
-    a, b = rng.normal(size=8), rng.normal(size=8)
-    expect = sum((x - y) ** 2 for x, y in zip(a, b))
-    assert abs(proto_distance(a, b) - expect) <= 1e-12
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        proto_distance(np.zeros(3), np.zeros(4))
+# --- the set as a matrix ---------------------------------------------------
 
 
 def test_squared_and_unsquared_share_argmin():
+    # Inference ranks classes by squared distance; the plain Euclidean
+    # distance, which the unsquared pull uses, ranks them the same way.
     rng = np.random.default_rng(106)
     for _ in range(20):
-        emb = rng.normal(size=5)
-        protos = [rng.normal(size=5) for _ in range(4)]
-        squared = [proto_distance(emb, p) for p in protos]
-        unsquared = [math.sqrt(d) for d in squared]
-        assert int(np.argmin(squared)) == int(np.argmin(unsquared))
+        emb = rng.normal(size=(1, 5))
+        classes, matrix = GlobalPrototypeSet.from_vectors(
+            {c: rng.normal(size=5) for c in range(4)}
+        ).matrix()
+        unsquared = np.sqrt(((emb - matrix) ** 2).sum(axis=1))
+        assert _nearest_class(emb, classes, matrix)[0] == classes[np.argmin(unsquared)]
+
+
+def test_matrix_and_pull_table():
+    protos = GlobalPrototypeSet.from_vectors({3: [1.0, 2.0], -1: [3.0, 4.0], 0: [5.0, 6.0]})
+    classes, matrix = protos.matrix()
+    assert classes.tolist() == [-1, 0, 3]
+    assert matrix.tolist() == [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]]
+    table, has_proto = protos.pull_table(3, 2)
+    assert table.tolist() == [[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]]
+    assert has_proto.tolist() == [True, False, False]
+    with pytest.raises(DimensionError, match="class -1 has shape"):
+        protos.pull_table(3, 3)
+    with pytest.raises(EmptyPrototypesError):
+        GlobalPrototypeSet.empty().matrix()
+    with pytest.raises(DimensionError, match="class 2 has shape"):
+        GlobalPrototypeSet.from_vectors({1: [1.0], 2: [1.0, 2.0]}).matrix()
 
 
 # --- serialization ----------------------------------------------------------

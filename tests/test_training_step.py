@@ -64,7 +64,7 @@ def test_cnn4_step_matches_frozen_step_bitwise(n, pull, kind):
     protos, lam, form = PULLS[pull]
     if protos:
         # class 9 has no prototype
-        protos = {c: rng.normal(size=50) for c in range(9)}
+        protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=50) for c in range(9)})
     got = loss_and_grad(params, x, y, protos, lam, form)
     want = frozen_step.loss_and_grad(params, x, y, protos, lam, form)
     assert_same_report(got, want)
@@ -81,7 +81,7 @@ def test_cnn4_step_with_dead_channels_matches_frozen_step_bitwise():
         layer.bias[0] = -1e3
     x = batch("sparse", rng, 8)
     y = rng.integers(0, 10, size=8)
-    protos = {c: rng.normal(size=50) for c in range(10)}
+    protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=50) for c in range(10)})
     for args in ((None, 0.0), (protos, 1.0)):
         got = loss_and_grad(params, x, y, *args)
         want = frozen_step.loss_and_grad(params, x, y, *args)
@@ -100,7 +100,7 @@ def test_conv_layers_without_pool_or_relu_match_frozen_step_bitwise(n):
     params = ModelParams(layers, extractor_boundary=2)
     x = np.round(rng.normal(size=(n, 2, 10, 10)))
     y = rng.integers(0, 5, size=n)
-    protos = {c: rng.normal(size=27) for c in range(4)}
+    protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=27) for c in range(4)})
     assert_same_report(
         loss_and_grad(params, x, y, protos, 0.5),
         frozen_step.loss_and_grad(params, x, y, protos, 0.5),
@@ -113,7 +113,7 @@ def test_mlp2_step_matches_frozen_step_bitwise(form):
     params = build_mlp2(rng, 20, 4, hidden=16)
     x = rng.normal(size=(9, 20))
     y = rng.integers(0, 4, size=9)
-    protos = {0: rng.normal(size=16), 2: rng.normal(size=16)}
+    protos = GlobalPrototypeSet.from_vectors({0: rng.normal(size=16), 2: rng.normal(size=16)})
     assert_same_report(
         loss_and_grad(params, x, y, protos, 1.0, form),
         frozen_step.loss_and_grad(params, x, y, protos, 1.0, form),
