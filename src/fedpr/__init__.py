@@ -9,8 +9,8 @@ and dual softmax / nearest-prototype inference.
 
 __version__ = "0.1.0"
 
-from .data import ClientShard, Dataset, PartitionSpec, dirichlet_partition, subsample, synthetic_blobs
-from .evaluation import EvalReport, evaluate_accuracy, last_k_mean, predict_nearest_prototype, predict_softmax
+from .data import ClientShard, Dataset, dirichlet_partition, subsample, synthetic_blobs
+from .evaluation import EvalReport, evaluate_accuracy, last_k_mean
 from .federation import (
     ClientState,
     FederationConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "LayerParams",
     "ModelParams",
     "OptimizerState",
-    "PartitionSpec",
     "Prototype",
     "RoundRecord",
     "aggregate_global_prototypes",
@@ -64,8 +63,6 @@ __all__ = [
     "last_k_mean",
     "loss_and_grad",
     "model_forward",
-    "predict_nearest_prototype",
-    "predict_softmax",
     "run_experiment",
     "run_round",
     "server_weighted_average",

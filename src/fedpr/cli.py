@@ -16,9 +16,11 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, checks
-from .data import PartitionSpec
-from .errors import ConfigError
+from .data import class_counts
+from .errors import ConfigError, DatasetConsistencyError
 from .evaluation import last_k_mean
 from .federation import (
     DATASETS,
@@ -26,15 +28,15 @@ from .federation import (
     STRATEGIES,
     FederationConfig,
     RoundRecord,
-    prepare_partition,
+    partition_data,
     run_experiment,
 )
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-CSV_HEADER = "round,mean_train_loss,acc_softmax,acc_prototype,wall_time_ms"
+CSV_HEADER = "round,mean_train_loss,acc_softmax,acc_prototype"
 
 # External key <-> FederationConfig field, in field order. "lambda" is a
 # Python keyword, so the dataclass field is "lam"; files and flags use the
@@ -83,28 +85,18 @@ def read_config_file(path) -> dict:
 
 def parse_config(path=None, overrides=None) -> FederationConfig:
     """Resolve a configuration with precedence flags > file > defaults."""
-    merged = {}
-    explicit = set()
-    if path is not None:
-        file_values = read_config_file(path)
-        merged.update(file_values)
-        explicit.update(file_values)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _KEY_TO_FIELD:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-            explicit.add(key)
+    merged = read_config_file(path) if path is not None else {}
+    for key, value in (overrides or {}).items():
+        if key not in _KEY_TO_FIELD:
+            raise ConfigError(f"unknown config key {key!r}")
+        merged[key] = value
 
     strategy = merged.get("strategy", FederationConfig.strategy)
     if strategy == "fedavg":
-        if "lambda" in explicit and merged["lambda"] != 0:
-            raise ConfigError("lambda: strategy=fedavg forces lambda=0")
-        merged["lambda"] = 0.0
-        if "eval_inference" in explicit and merged["eval_inference"] != "softmax":
-            raise ConfigError("eval_inference: fedavg supports softmax inference only")
-        merged["eval_inference"] = "softmax"
-    elif strategy == "fedpr" and "lambda" in explicit and merged["lambda"] == 0:
+        # Implied values only; FederationConfig.validate rejects conflicts.
+        merged.setdefault("lambda", 0.0)
+        merged.setdefault("eval_inference", "softmax")
+    elif strategy == "fedpr" and merged.get("lambda") == 0:
         raise ConfigError(
             "lambda: fedpr with lambda=0 is the fedavg baseline; use strategy=fedavg"
         )
@@ -170,30 +162,31 @@ def _fmt(value) -> str:
 def write_round_csv(records, path) -> None:
     """One row per round, 6 fractional digits, LF endings.
 
-    Absent metrics render as empty fields. The wall_time_ms column is
-    always left empty: emitted artifacts are byte-reproducible functions
-    of (config, seed), which a timing measurement can never be. Timings
-    stay on the in-memory records and in the progress log.
+    Absent metrics render as empty fields. Records hold no timings, so
+    the file is a byte-reproducible function of (config, seed).
     """
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
             f"{r.round_index},{_fmt(r.mean_train_loss)},"
-            f"{_fmt(r.test_accuracy_softmax)},{_fmt(r.test_accuracy_prototype)},"
+            f"{_fmt(r.test_accuracy_softmax)},{_fmt(r.test_accuracy_prototype)}"
         )
     with _atomic_text_file(path) as f:
         f.write("\n".join(lines) + "\n")
 
 
 def read_round_csv(path) -> list[RoundRecord]:
-    """Inverse of write_round_csv (wall time comes back as None)."""
+    """Inverse of write_round_csv; only the current format is read."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: unexpected CSV header")
+    header = lines[0] if lines else ""
+    if header != CSV_HEADER:
+        raise ConfigError(
+            f"{path}: CSV header {header!r} is not the format {FORMAT_VERSION} header {CSV_HEADER!r}"
+        )
     records = []
     for row, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 5:
+        if len(parts) != 4:
             raise ConfigError(f"{path}: malformed row {line!r}")
         try:
             optional = [float(part) if part else None for part in parts[2:]]
@@ -303,14 +296,13 @@ def write_compare_csv(records_avg, records_pr, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _progress(record: RoundRecord) -> None:
+def _progress(record: RoundRecord, seconds: float) -> None:
     parts = [f"round {record.round_index}", f"loss={record.mean_train_loss:.4f}"]
     if record.test_accuracy_softmax is not None:
         parts.append(f"acc_softmax={record.test_accuracy_softmax:.4f}")
     if record.test_accuracy_prototype is not None:
         parts.append(f"acc_proto={record.test_accuracy_prototype:.4f}")
-    if record.wall_time_ms is not None:
-        parts.append(f"({record.wall_time_ms:.0f} ms)")
+    parts.append(f"({seconds * 1000.0:.0f} ms)")
     log.info(" ".join(parts))
 
 
@@ -355,10 +347,11 @@ def _cmd_compare(args) -> int:
     write_compare_csv(records_avg, records_pr, out / "compare.csv")
     summary = build_compare_summary(cfg_avg, records_avg, cfg_pr, records_pr)
     write_summary(summary, out / "summary.json")
+    relative = summary["delta_last10_relative_pct"]  # None when fedavg scored 0
+    relative_text = "n/a" if relative is None else f"{relative:+.2f}%"
     print(
         f"compare complete: fedpr-fedavg delta over last {summary['fedpr']['k']} rounds = "
-        f"{summary['delta_last10_pp']:+.2f} pp "
-        f"({summary['delta_last10_relative_pct']:+.2f}% relative)"
+        f"{summary['delta_last10_pp']:+.2f} pp ({relative_text} relative)"
     )
     print(f"artifacts in {out}/")
     return 0
@@ -366,11 +359,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_partition_report(args) -> int:
     cfg = parse_config(args.config, _flag_overrides(args))
-    train, _, shards = prepare_partition(cfg)
-    spec = PartitionSpec.from_shards(
-        shards, train.labels, train.num_classes, cfg.dirichlet_alpha, cfg.master_seed
-    )
-    counts = spec.counts
+    train, _, shards = partition_data(cfg)
+    counts = class_counts(shards, train.labels, train.num_classes)
+    if not np.array_equal(counts.sum(axis=0), np.bincount(train.labels, minlength=train.num_classes)):
+        raise DatasetConsistencyError("partition counts do not add up to the dataset's per-class totals")
     lines = ["client,class,count"]
     for client in range(counts.shape[0]):
         for cls in range(counts.shape[1]):

@@ -67,26 +67,6 @@ class ClientShard:
         return len(self.indices)
 
 
-@dataclass
-class PartitionSpec:
-    """How a dataset was split: knobs plus the resulting [N, C] counts."""
-
-    num_clients: int
-    alpha: float
-    seed: object
-    counts: np.ndarray
-
-    @classmethod
-    def from_shards(cls, shards, labels, num_classes: int, alpha: float, seed) -> "PartitionSpec":
-        counts = class_counts(shards, labels, num_classes)
-        per_class = np.bincount(np.asarray(labels, dtype=np.int64), minlength=num_classes)
-        if not np.array_equal(counts.sum(axis=0), per_class):
-            raise DatasetConsistencyError(
-                "partition counts do not add up to the dataset's per-class totals"
-            )
-        return cls(len(shards), alpha, seed, counts)
-
-
 def _open_maybe_gzip(path):
     with open(path, "rb") as probe:
         head = probe.read(2)

@@ -1,5 +1,5 @@
-"""Dual-path inference (decision head vs nearest prototype) and accuracy
-bookkeeping, including the last-k-round summary statistic."""
+"""Dual-path inference (decision head vs nearest prototype) scored in one
+chunked pass, and the last-k-round summary statistic."""
 
 from __future__ import annotations
 
@@ -19,18 +19,8 @@ EVAL_MODES = ("softmax", "prototype", "both")
 
 @dataclass
 class EvalReport:
-    correct_softmax: int | None
-    correct_prototype: int | None
     accuracy_softmax: float | None
     accuracy_prototype: float | None
-    confusion_softmax: np.ndarray | None
-    confusion_prototype: np.ndarray | None
-
-
-def predict_softmax(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """Argmax over decision-head logits; ties go to the lowest class index."""
-    _, logits = model_forward(params, inputs)
-    return np.argmax(logits, axis=1)
 
 
 def _nearest_class(emb: np.ndarray, classes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -44,21 +34,8 @@ def _nearest_class(emb: np.ndarray, classes: np.ndarray, matrix: np.ndarray) -> 
     return classes[np.argmin(dists, axis=1)]
 
 
-def predict_nearest_prototype(
-    params: ModelParams, protos: GlobalPrototypeSet, inputs: np.ndarray
-) -> np.ndarray:
-    """Class of the nearest global prototype to each sample's embedding.
-
-    Ties go to the lowest class index; classes without a prototype are
-    never predicted.
-    """
-    classes, matrix = protos.matrix()
-    emb, _ = model_forward(params, inputs)
-    return _nearest_class(emb, classes, matrix)
-
-
-def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: int):
-    """Correct count plus a [true, predicted] confusion matrix."""
+def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> int:
+    """Number of predictions equal to their label."""
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     for name, values in (("prediction", predictions), ("label", labels)):
@@ -67,10 +44,7 @@ def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: 
                 f"{name} values outside [0, {num_classes}); the model's output "
                 f"classes do not match the dataset"
             )
-    correct = int(np.sum(predictions == labels))
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (labels, predictions), 1)
-    return correct, confusion
+    return int(np.sum(predictions == labels))
 
 
 def evaluate_accuracy(
@@ -80,7 +54,13 @@ def evaluate_accuracy(
     mode: str = "both",
     chunk: int = _EVAL_CHUNK,
 ) -> EvalReport:
-    """Fraction of correct predictions per requested inference path."""
+    """Fraction of correct predictions per requested inference path.
+
+    Softmax inference takes the argmax of the decision-head logits;
+    prototype inference the class of the nearest global prototype to the
+    embedding. Both break ties to the lowest class index, and a class
+    without a prototype is never predicted.
+    """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if not len(testset):
@@ -105,13 +85,10 @@ def evaluate_accuracy(
 
     def score(preds):
         if preds is None:
-            return None, None, None
-        correct, confusion = tally_predictions(np.concatenate(preds), testset.labels, testset.num_classes)
-        return correct, correct / len(testset), confusion
+            return None
+        return tally_predictions(np.concatenate(preds), testset.labels, testset.num_classes) / len(testset)
 
-    correct_s, acc_s, conf_s = score(preds_softmax)
-    correct_p, acc_p, conf_p = score(preds_proto)
-    return EvalReport(correct_s, correct_p, acc_s, acc_p, conf_s, conf_p)
+    return EvalReport(score(preds_softmax), score(preds_proto))
 
 
 def last_k_mean(records, k: int, field: str) -> float:

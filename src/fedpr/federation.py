@@ -160,7 +160,6 @@ class RoundRecord:
     mean_train_loss: float
     test_accuracy_softmax: float | None
     test_accuracy_prototype: float | None
-    wall_time_ms: float | None = None
 
 
 def client_rng(master_seed: int, client_id: int, round_index: int) -> np.random.Generator:
@@ -270,7 +269,6 @@ def run_round(
     last client finishes. Clients with empty shards are skipped (averaged
     with weight 0).
     """
-    start = time.perf_counter()
     results = []  # (client_id, params, prototypes, loss, weight)
     for state in clients:
         if not len(state.shard):
@@ -305,19 +303,16 @@ def run_round(
     if cfg.strategy == "fedavg" or not len(new_protos):
         mode = "softmax"
     report = evaluate_accuracy(new_params, new_protos, test_data, mode)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    record = RoundRecord(
-        round_index,
-        mean_train_loss,
-        report.accuracy_softmax,
-        report.accuracy_prototype,
-        wall_ms,
-    )
+    record = RoundRecord(round_index, mean_train_loss, report.accuracy_softmax, report.accuracy_prototype)
     return new_params, new_protos, record
 
 
-def load_experiment_data(cfg: FederationConfig) -> tuple[Dataset, Dataset]:
-    """Resolve (train, test) datasets for a config; synthetic is generated."""
+def partition_data(cfg: FederationConfig) -> tuple[Dataset, Dataset, list[ClientShard]]:
+    """Load, subsample, and partition exactly as run_experiment does.
+
+    The images keep the dataset's own shape: the split never depends on
+    the model. Synthetic data is generated.
+    """
     if cfg.dataset == "synthetic":
         train = datamod.synthetic_blobs(
             cfg.synth_classes,
@@ -336,10 +331,16 @@ def load_experiment_data(cfg: FederationConfig) -> tuple[Dataset, Dataset]:
     else:
         train = datamod.load_idx_dataset(cfg.data_dir, cfg.dataset, "train")
         test = datamod.load_idx_dataset(cfg.data_dir, cfg.dataset, "test")
-    if cfg.model == "cnn4":
-        train = _as_images(train, "train")
-        test = _as_images(test, "test")
-    return train, test
+    if cfg.subsample_n > len(train):
+        raise ConfigError(
+            f"subsample_n: {cfg.subsample_n} exceeds the {len(train)} training samples "
+            f"of dataset {cfg.dataset!r}"
+        )
+    train = datamod.subsample(train, cfg.subsample_n, [cfg.master_seed, _STREAM_SUBSAMPLE])
+    shards = datamod.dirichlet_partition(
+        train.labels, cfg.num_clients, cfg.dirichlet_alpha, [cfg.master_seed, _STREAM_PARTITION]
+    )
+    return train, test, shards
 
 
 def _as_images(dataset: Dataset, which: str) -> Dataset:
@@ -356,17 +357,10 @@ def _as_images(dataset: Dataset, which: str) -> Dataset:
 
 
 def prepare_partition(cfg: FederationConfig) -> tuple[Dataset, Dataset, list[ClientShard]]:
-    """Load, subsample, and partition exactly as run_experiment does."""
-    train, test = load_experiment_data(cfg)
-    if cfg.subsample_n > len(train):
-        raise ConfigError(
-            f"subsample_n: {cfg.subsample_n} exceeds the {len(train)} training samples "
-            f"of dataset {cfg.dataset!r}"
-        )
-    train = datamod.subsample(train, cfg.subsample_n, [cfg.master_seed, _STREAM_SUBSAMPLE])
-    shards = datamod.dirichlet_partition(
-        train.labels, cfg.num_clients, cfg.dirichlet_alpha, [cfg.master_seed, _STREAM_PARTITION]
-    )
+    """partition_data, with the images shaped for cfg.model."""
+    train, test, shards = partition_data(cfg)
+    if cfg.model == "cnn4":
+        train, test = _as_images(train, "train"), _as_images(test, "test")
     return train, test, shards
 
 
@@ -379,9 +373,13 @@ def init_global_model(cfg: FederationConfig, train: Dataset) -> ModelParams:
 
 
 def run_experiment(
-    cfg: FederationConfig, progress: Callable[[RoundRecord], None] | None = None
+    cfg: FederationConfig, progress: Callable[[RoundRecord, float], None] | None = None
 ) -> list[RoundRecord]:
-    """Full training loop: T rounds from a fresh model and empty prototypes."""
+    """Full training loop: T rounds from a fresh model and empty prototypes.
+
+    ``progress`` gets each round's record and its wall time in seconds;
+    the time is not part of the record, so records stay reproducible.
+    """
     cfg.validate()
     train, test, shards = prepare_partition(cfg)
     empty = [s.client_id for s in shards if not len(s)]
@@ -393,8 +391,9 @@ def run_experiment(
     clients = [ClientState(shard.client_id, shard) for shard in shards]
     records = []
     for t in range(1, cfg.rounds + 1):
+        start = time.perf_counter()
         params, protos, record = run_round(params, protos, clients, cfg, t, train, test)
         records.append(record)
         if progress is not None:
-            progress(record)
+            progress(record, time.perf_counter() - start)
     return records

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from fedpr import checks
+from fedpr import checks, cli, data
 from fedpr.cli import (
     build_artifact,
     config_external_dict,
@@ -112,6 +112,11 @@ def test_fedavg_with_nonzero_lambda_rejected():
         parse_config(None, {"strategy": "fedavg", "lambda": 0.5})
 
 
+def test_fedavg_with_prototype_eval_rejected():
+    with pytest.raises(ConfigError, match="eval_inference"):
+        parse_config(None, {"strategy": "fedavg", "eval_inference": "both"})
+
+
 def test_fedavg_defaults_coerce_lambda_and_eval():
     cfg = parse_config(None, {"strategy": "fedavg"})
     assert cfg.lam == 0.0
@@ -137,22 +142,22 @@ def test_config_hash_stable_and_sensitive():
 def test_csv_empty_records_header_only(tmp_path):
     path = tmp_path / "rounds.csv"
     write_round_csv([], path)
-    assert path.read_bytes() == b"round,mean_train_loss,acc_softmax,acc_prototype,wall_time_ms\n"
+    assert path.read_bytes() == b"round,mean_train_loss,acc_softmax,acc_prototype\n"
 
 
 def test_csv_single_record_exact_bytes(tmp_path):
     path = tmp_path / "rounds.csv"
-    write_round_csv([RoundRecord(1, math.log(10.0), 0.1, None, 123.4)], path)
+    write_round_csv([RoundRecord(1, math.log(10.0), 0.1, None)], path)
     assert path.read_bytes() == (
-        b"round,mean_train_loss,acc_softmax,acc_prototype,wall_time_ms\n"
-        b"1,2.302585,0.100000,,\n"
+        b"round,mean_train_loss,acc_softmax,acc_prototype\n"
+        b"1,2.302585,0.100000,\n"
     )
 
 
 def test_csv_roundtrip_within_1e6(tmp_path):
     rng = np.random.default_rng(0)
     records = [
-        RoundRecord(t, float(rng.uniform(0, 3)), float(rng.uniform()), float(rng.uniform()), 5.0)
+        RoundRecord(t, float(rng.uniform(0, 3)), float(rng.uniform()), float(rng.uniform()))
         for t in range(1, 8)
     ]
     path = tmp_path / "rounds.csv"
@@ -163,14 +168,22 @@ def test_csv_roundtrip_within_1e6(tmp_path):
         assert abs(b.mean_train_loss - a.mean_train_loss) <= 1e-6
         assert abs(b.test_accuracy_softmax - a.test_accuracy_softmax) <= 1e-6
         assert abs(b.test_accuracy_prototype - a.test_accuracy_prototype) <= 1e-6
-        assert b.wall_time_ms is None  # timings are not part of the artifact
 
 
 def test_csv_malformed_cell_names_path_and_row(tmp_path):
     path = tmp_path / "rounds.csv"
     write_round_csv([RoundRecord(1, 0.5, 0.25, None)], path)
-    path.write_text(path.read_text() + "2,abc,,,\n")
-    with pytest.raises(ConfigError, match=r"rounds\.csv: row 3 '2,abc,,,'"):
+    path.write_text(path.read_text() + "2,abc,,\n")
+    with pytest.raises(ConfigError, match=r"rounds\.csv: row 3 '2,abc,,'"):
+        read_round_csv(path)
+
+
+def test_csv_of_format_1_is_refused_naming_the_path(tmp_path):
+    path = tmp_path / "rounds.csv"
+    path.write_text(
+        "round,mean_train_loss,acc_softmax,acc_prototype,wall_time_ms\n1,2.302585,0.100000,,\n"
+    )
+    with pytest.raises(ConfigError, match=r"rounds\.csv: CSV header .* is not the format 2 header"):
         read_round_csv(path)
 
 
@@ -181,7 +194,9 @@ def test_run_twice_byte_identical_artifacts(tmp_path):
     rc1 = run_cli(["run", *SYNTH_FLAGS, "--out", str(tmp_path / "a")])
     rc2 = run_cli(["run", *SYNTH_FLAGS, "--out", str(tmp_path / "b")])
     assert rc1 == rc2 == 0
-    assert (tmp_path / "a/rounds.csv").read_bytes() == (tmp_path / "b/rounds.csv").read_bytes()
+    rounds = (tmp_path / "a/rounds.csv").read_bytes()
+    assert rounds.startswith(b"round,mean_train_loss,acc_softmax,acc_prototype\n")
+    assert rounds == (tmp_path / "b/rounds.csv").read_bytes()
     assert (tmp_path / "a/summary.json").read_bytes() == (tmp_path / "b/summary.json").read_bytes()
 
 
@@ -202,7 +217,7 @@ def test_summary_contents(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["run", *SYNTH_FLAGS, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["format_version"] == 1
+    assert summary["format_version"] == 2
     assert summary["rounds_completed"] == 3
     assert summary["k"] == 3
     assert 0.0 <= summary["last_k"]["acc_softmax"] <= 1.0
@@ -212,7 +227,7 @@ def test_summary_contents(tmp_path):
 
 def test_artifact_summary_constant_accuracy_mean():
     cfg = parse_config(None, synth_overrides())
-    records = [RoundRecord(t, 0.2, 0.5, 0.5, None) for t in range(1, 13)]
+    records = [RoundRecord(t, 0.2, 0.5, 0.5) for t in range(1, 13)]
     summary = build_artifact(cfg, records)
     assert summary["k"] == 10
     assert summary["last_k"]["acc_softmax"] == pytest.approx(0.5)
@@ -266,7 +281,49 @@ def test_compare_accepts_fedpr_oriented_config_file(tmp_path):
     assert summary["fedavg"]["config"]["lambda"] == 0.0
 
 
+def test_compare_with_fedavg_at_zero_prints_na(tmp_path, monkeypatch, capsys):
+    # the relative delta divides by fedavg's last-k accuracy
+    def fake_run(cfg, progress=None):
+        return [RoundRecord(t, 1.0, 0.0, None if cfg.strategy == "fedavg" else 0.25) for t in (1, 2)]
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert run_cli(["compare", *SYNTH_FLAGS, "--out", str(tmp_path / "cmp")]) == 0
+    assert "+25.00 pp (n/a relative)" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "cmp/summary.json").read_text())
+    assert summary["delta_last10_relative_pct"] is None
+
+
 # --- partition-report -------------------------------------------------------
+
+
+def test_partition_report_readme_example_needs_no_model(capsys):
+    # the default model is cnn4, which cannot take the 32-dim synthetic data
+    rc = run_cli(["partition-report", "--dataset", "synthetic", "--alpha", "0.05", "--clients", "10"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "client,class,count"
+    assert len(lines) == 1 + 10 * 10
+    assert sum(int(line.split(",")[2]) for line in lines[1:]) == 2000
+
+
+def test_run_cnn4_on_32_dim_synthetic_names_cnn4(tmp_path, capsys):
+    rc = run_cli(["run", "--dataset", "synthetic", "--rounds", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "ConfigError: model: cnn4" in capsys.readouterr().err
+
+
+def test_partition_report_rejects_a_partition_that_is_not_a_cover(monkeypatch, capsys):
+    partition = data.dirichlet_partition
+
+    def drop_one_sample(*args, **kwargs):
+        shards = partition(*args, **kwargs)
+        shards[0].indices = shards[0].indices[1:]
+        return shards
+
+    monkeypatch.setattr(data, "dirichlet_partition", drop_one_sample)
+    rc = run_cli(["partition-report", "--dataset", "synthetic", "--clients", "1"])
+    assert rc == 2
+    assert "DatasetConsistencyError: partition counts" in capsys.readouterr().err
 
 
 def test_partition_report_matches_direct_partition(tmp_path):

@@ -12,7 +12,6 @@ from fedpr.data import (
     IDX_LABEL_MAGIC,
     ClientShard,
     Dataset,
-    PartitionSpec,
     blob_anchors,
     class_counts,
     dirichlet_partition,
@@ -327,15 +326,6 @@ def test_partition_invalid_args():
         dirichlet_partition(labels, 0, 0.5, seed=0)
     with pytest.raises(ValueError, match="alpha"):
         dirichlet_partition(labels, 2, 0.0, seed=0)
-
-
-def test_partition_spec_column_sums():
-    labels = np.random.default_rng(12).integers(0, 4, size=120)
-    shards = dirichlet_partition(labels, 5, 0.4, seed=2)
-    spec = PartitionSpec.from_shards(shards, labels, 4, 0.4, 2)
-    assert spec.counts.shape == (5, 4)
-    assert np.array_equal(spec.counts.sum(axis=0), np.bincount(labels, minlength=4))
-    assert spec.num_clients == 5
 
 
 @pytest.mark.skipif(

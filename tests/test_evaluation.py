@@ -3,13 +3,7 @@ import pytest
 
 from fedpr.data import Dataset, blob_anchors, synthetic_blobs
 from fedpr.errors import DimensionError, EmptyPrototypesError
-from fedpr.evaluation import (
-    evaluate_accuracy,
-    last_k_mean,
-    predict_nearest_prototype,
-    predict_softmax,
-    tally_predictions,
-)
+from fedpr.evaluation import _nearest_class, evaluate_accuracy, last_k_mean, tally_predictions
 from fedpr.federation import RoundRecord
 from fedpr.nn import LayerParams, ModelParams
 from fedpr.prototypes import GlobalPrototypeSet
@@ -20,29 +14,39 @@ def passthrough_model(dim):
     return ModelParams([LayerParams("id", "dense", np.eye(dim), np.zeros(dim))], 1)
 
 
+def accuracy(model, images, labels, num_classes, protos=None):
+    """Softmax accuracy, or prototype accuracy when protos are given; 1.0
+    exactly when every prediction equals its label."""
+    ds = Dataset(np.asarray(images, dtype=np.float64), labels, num_classes)
+    if protos is None:
+        return evaluate_accuracy(model, None, ds, mode="softmax").accuracy_softmax
+    return evaluate_accuracy(model, protos, ds, mode="prototype").accuracy_prototype
+
+
 # --- softmax path -----------------------------------------------------------
 
 
 def test_softmax_argmax_basic():
-    preds = predict_softmax(passthrough_model(3), np.array([[0.1, 0.9, 0.3]]))
-    assert preds.tolist() == [1]
+    x = [[0.1, 0.9, 0.3]]
+    assert accuracy(passthrough_model(3), x, [1], 3) == 1.0
+    assert accuracy(passthrough_model(3), x, [2], 3) == 0.0
 
 
 def test_softmax_tie_breaks_to_lowest_class():
-    preds = predict_softmax(passthrough_model(4), np.zeros((2, 4)))
-    assert preds.tolist() == [0, 0]
+    assert accuracy(passthrough_model(4), np.zeros((2, 4)), [0, 0], 4) == 1.0
 
 
 def test_softmax_matches_linear_scan():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(20, 6))
-    preds = predict_softmax(passthrough_model(6), x)
-    for row, pred in zip(x, preds):
+    scan = []
+    for row in x:
         best = 0
         for j in range(1, 6):
             if row[j] > row[best]:
                 best = j
-        assert pred == best
+        scan.append(best)
+    assert accuracy(passthrough_model(6), x, scan, 6) == 1.0
 
 
 # --- prototype path ---------------------------------------------------------
@@ -50,40 +54,37 @@ def test_softmax_matches_linear_scan():
 
 def test_exact_prototype_match_wins():
     protos = GlobalPrototypeSet.from_vectors({1: [5.0, 5.0], 3: [1.0, -1.0], 4: [9.0, 9.0]})
-    preds = predict_nearest_prototype(passthrough_model(2), protos, np.array([[1.0, -1.0]]))
-    assert preds.tolist() == [3]
+    assert accuracy(passthrough_model(2), [[1.0, -1.0]], [3], 5, protos) == 1.0
 
 
 def test_single_prototype_forces_prediction():
+    # classes 0-6 and 8 have no prototype and are never predicted
     protos = GlobalPrototypeSet.from_vectors({7: [0.0, 0.0]})
-    rng = np.random.default_rng(1)
-    preds = predict_nearest_prototype(passthrough_model(2), protos, rng.normal(size=(5, 2)))
-    assert preds.tolist() == [7] * 5
+    x = np.random.default_rng(1).normal(size=(5, 2))
+    assert accuracy(passthrough_model(2), x, [7] * 5, 9, protos) == 1.0
 
 
 def test_prototype_tie_breaks_to_lowest_class():
     protos = GlobalPrototypeSet.from_vectors({2: [1.0, 0.0], 5: [1.0, 0.0]})
-    preds = predict_nearest_prototype(passthrough_model(2), protos, np.array([[0.0, 0.0]]))
-    assert preds.tolist() == [2]
+    assert accuracy(passthrough_model(2), [[0.0, 0.0]], [2], 6, protos) == 1.0
 
 
 def test_blob_anchors_classify_blobs_perfectly():
     ds = synthetic_blobs(4, 8, per_class=25, spread=0.01, seed=2)
     anchors = blob_anchors(4, 8)
     protos = GlobalPrototypeSet.from_vectors({c: anchors[c] for c in range(4)})
-    preds = predict_nearest_prototype(passthrough_model(8), protos, ds.images)
-    assert np.array_equal(preds, ds.labels)
+    assert accuracy(passthrough_model(8), ds.images, ds.labels, 4, protos) == 1.0
 
 
 def test_empty_prototypes_rejected():
     with pytest.raises(EmptyPrototypesError):
-        predict_nearest_prototype(passthrough_model(2), GlobalPrototypeSet.empty(), np.zeros((1, 2)))
+        accuracy(passthrough_model(2), np.zeros((1, 2)), [0], 2, GlobalPrototypeSet.empty())
 
 
 def test_prototype_dimension_mismatch():
     protos = GlobalPrototypeSet.from_vectors({0: [1.0, 2.0, 3.0]})
-    with pytest.raises(DimensionError):
-        predict_nearest_prototype(passthrough_model(2), protos, np.zeros((1, 2)))
+    with pytest.raises(DimensionError, match="dimension"):
+        accuracy(passthrough_model(2), np.zeros((1, 2)), [0], 2, protos)
 
 
 def test_prototype_of_a_class_outside_the_dataset_is_predicted_then_rejected():
@@ -91,7 +92,7 @@ def test_prototype_of_a_class_outside_the_dataset_is_predicted_then_rejected():
     # rejects a predicted class outside [0, num_classes).
     ds = Dataset(np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 0.0]]), np.array([0, 1, 1]), 2)
     protos = GlobalPrototypeSet.from_vectors({-1: [-5.0, 0.0], 0: [0.0, 0.0], 7: [5.0, 5.0]})
-    assert predict_nearest_prototype(passthrough_model(2), protos, ds.images).tolist() == [0, 7, -1]
+    assert _nearest_class(ds.images, *protos.matrix()).tolist() == [0, 7, -1]
     with pytest.raises(DimensionError, match="prediction values outside"):
         evaluate_accuracy(passthrough_model(2), protos, ds, mode="prototype")
 
@@ -100,14 +101,12 @@ def test_scaling_distances_keeps_predictions():
     rng = np.random.default_rng(3)
     vectors = {c: rng.normal(size=4) for c in range(3)}
     x = rng.normal(size=(10, 4))
-    base = predict_nearest_prototype(passthrough_model(4), GlobalPrototypeSet.from_vectors(vectors), x)
+    base = _nearest_class(x, *GlobalPrototypeSet.from_vectors(vectors).matrix())
     # scaling every embedding/prototype by the same positive constant
     # scales all distances by its square and keeps every argmin
     scaled_model = ModelParams([LayerParams("id", "dense", 3.0 * np.eye(4), np.zeros(4))], 1)
-    scaled = predict_nearest_prototype(
-        scaled_model, GlobalPrototypeSet.from_vectors({c: 3.0 * v for c, v in vectors.items()}), x
-    )
-    assert np.array_equal(base, scaled)
+    scaled_protos = GlobalPrototypeSet.from_vectors({c: 3.0 * v for c, v in vectors.items()})
+    assert accuracy(scaled_model, x, base, 3, scaled_protos) == 1.0
 
 
 # --- accuracy bookkeeping ---------------------------------------------------
@@ -119,26 +118,20 @@ def test_tally_scripted_predictor_93_of_100():
     wrong = [2, 11, 19, 40, 41, 77, 93]
     for i in wrong:
         preds[i] = (labels[i] + 1) % 5
-    correct, confusion = tally_predictions(preds, labels, 5)
-    assert correct == 93
-    assert correct / 100 == pytest.approx(0.93)
-    assert confusion.sum() == 100
-    assert np.array_equal(confusion.sum(axis=1), np.bincount(labels, minlength=5))
+    assert tally_predictions(preds, labels, 5) == 93
 
 
 def test_tally_always_correct_predictor():
     labels = np.arange(10) % 3
-    correct, confusion = tally_predictions(labels, labels, 3)
-    assert correct == 10
-    assert np.array_equal(confusion, np.diag(np.bincount(labels, minlength=3)))
+    assert tally_predictions(labels, labels, 3) == 10
 
 
 def test_flipping_one_prediction_costs_one_over_n():
     labels = np.zeros(25, dtype=np.int64)
     preds = labels.copy()
-    base, _ = tally_predictions(preds, labels, 2)
+    base = tally_predictions(preds, labels, 2)
     preds[13] = 1
-    flipped, _ = tally_predictions(preds, labels, 2)
+    flipped = tally_predictions(preds, labels, 2)
     assert base / 25 - flipped / 25 == pytest.approx(1 / 25)
 
 
@@ -148,7 +141,6 @@ def test_evaluate_perfect_on_separable_blobs():
     protos = GlobalPrototypeSet.from_vectors({c: anchors[c] for c in range(3)})
     report = evaluate_accuracy(passthrough_model(6), protos, ds, mode="prototype")
     assert report.accuracy_prototype == 1.0
-    assert report.correct_prototype == len(ds)
     assert report.accuracy_softmax is None
 
 
@@ -170,15 +162,14 @@ def anchor_head_model(num_classes, dim):
     )
 
 
-def test_evaluate_both_modes_populates_confusions():
+def test_evaluate_both_modes_equals_each_mode_alone():
     ds = synthetic_blobs(3, 5, per_class=10, spread=0.2, seed=7)
     anchors = blob_anchors(3, 5)
     protos = GlobalPrototypeSet.from_vectors({c: anchors[c] for c in range(3)})
-    report = evaluate_accuracy(anchor_head_model(3, 5), protos, ds, mode="both", chunk=7)
-    assert report.confusion_softmax.shape == (3, 3)
-    assert report.confusion_prototype.shape == (3, 3)
-    assert np.array_equal(report.confusion_prototype.sum(axis=1), np.bincount(ds.labels, minlength=3))
-    assert np.array_equal(report.confusion_softmax.sum(axis=1), np.bincount(ds.labels, minlength=3))
+    model = anchor_head_model(3, 5)
+    report = evaluate_accuracy(model, protos, ds, mode="both", chunk=7)
+    assert report.accuracy_softmax == evaluate_accuracy(model, None, ds, mode="softmax").accuracy_softmax
+    assert report.accuracy_prototype == evaluate_accuracy(model, protos, ds, mode="prototype").accuracy_prototype
     assert 0.0 <= report.accuracy_softmax <= 1.0
     assert 0.0 <= report.accuracy_prototype <= 1.0
 
@@ -203,14 +194,14 @@ def test_evaluate_chunking_does_not_change_counts():
     ds = synthetic_blobs(3, 5, per_class=11, spread=0.3, seed=8)
     a = evaluate_accuracy(anchor_head_model(3, 5), None, ds, mode="softmax", chunk=4)
     b = evaluate_accuracy(anchor_head_model(3, 5), None, ds, mode="softmax", chunk=512)
-    assert a.correct_softmax == b.correct_softmax
+    assert a == b
 
 
 # --- last-k summary ---------------------------------------------------------
 
 
 def record(t, acc):
-    return RoundRecord(t, 0.1, acc, None, None)
+    return RoundRecord(t, 0.1, acc, None)
 
 
 def test_last_k_mean_k1_is_final_value():

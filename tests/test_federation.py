@@ -364,7 +364,18 @@ def test_accuracies_within_unit_interval():
     for record in run_experiment(small_cfg(rounds=2)):
         assert 0.0 <= record.test_accuracy_softmax <= 1.0
         assert 0.0 <= record.test_accuracy_prototype <= 1.0
-        assert record.wall_time_ms is not None and record.wall_time_ms >= 0
+
+
+def test_run_experiment_twice_gives_equal_records():
+    # records hold no timings, so two runs compare whole
+    assert run_experiment(small_cfg(rounds=2)) == run_experiment(small_cfg(rounds=2))
+
+
+def test_progress_gets_each_record_and_its_seconds():
+    seen = []
+    records = run_experiment(small_cfg(rounds=2), progress=lambda r, s: seen.append((r, s)))
+    assert [r for r, _ in seen] == records
+    assert all(s >= 0 for _, s in seen)
 
 
 def test_cnn_on_synthetic_requires_image_geometry():

@@ -435,10 +435,7 @@ def test_prototypes_and_evaluation_match_cached_forward_bitwise(n, monkeypatch):
         ]
         assert all(same_bits(g.vector, w.vector) for g, w in zip(got, want_protos)), workers
         report = evaluate_accuracy(params, global_protos, dataset, "both")
-        assert report.correct_softmax == want_report.correct_softmax
-        assert report.correct_prototype == want_report.correct_prototype
-        assert np.array_equal(report.confusion_softmax, want_report.confusion_softmax)
-        assert np.array_equal(report.confusion_prototype, want_report.confusion_prototype)
+        assert report == want_report, workers
 
 
 def unit_conv_model(bias):
