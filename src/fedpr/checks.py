@@ -54,10 +54,10 @@ def aggregation_error(instances: int, seed: int) -> float:
             for _ in range(n_clients)
         ]
         agg = aggregate_global_prototypes(clients)
-        for cls in agg.classes():
+        for cls, vector in agg.class_vectors().items():
             vectors = [p.vector for protos in clients for p in protos if p.class_id == cls]
             brute = np.sum(vectors, axis=0) / len(vectors)
-            worst = max(worst, float(np.abs(agg.entries[cls].vector - brute).max()))
+            worst = max(worst, float(np.abs(vector - brute).max()))
 
         layers = [
             LayerParams("fc", "dense", rng.standard_normal((3, 2)), rng.standard_normal(3))

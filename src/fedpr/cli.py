@@ -371,7 +371,8 @@ def _cmd_partition_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "partition.csv").write_text(text, encoding="utf-8", newline="")
+        with _atomic_text_file(out / "partition.csv") as f:
+            f.write(text)
         print(f"partition report: {out / 'partition.csv'}")
     else:
         sys.stdout.write(text)

@@ -23,14 +23,14 @@ class EvalReport:
     accuracy_prototype: float | None
 
 
-def _nearest_class(emb: np.ndarray, classes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    if emb.shape[1] != matrix.shape[1]:
+def _nearest_class(emb: np.ndarray, classes: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    if emb.shape[1] != vectors.shape[1]:
         raise DimensionError(
             f"embedding dimension {emb.shape[1]} does not match prototype "
-            f"dimension {matrix.shape[1]}"
+            f"dimension {vectors.shape[1]}"
         )
     # Squared distances; argmin scans classes in ascending order.
-    dists = ((emb[:, None, :] - matrix[None, :, :]) ** 2).sum(axis=2)
+    dists = ((emb[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
     return classes[np.argmin(dists, axis=1)]
 
 
@@ -70,9 +70,6 @@ def evaluate_accuracy(
     if want_proto and (protos is None or not len(protos)):
         raise EmptyPrototypesError("prototype inference requested but no prototypes given")
 
-    classes = matrix = None
-    if want_proto:
-        classes, matrix = protos.matrix()
     preds_softmax = [] if want_softmax else None
     preds_proto = [] if want_proto else None
     for start in range(0, len(testset), chunk):
@@ -81,7 +78,7 @@ def evaluate_accuracy(
         if want_softmax:
             preds_softmax.append(np.argmax(logits, axis=1))
         if want_proto:
-            preds_proto.append(_nearest_class(emb, classes, matrix))
+            preds_proto.append(_nearest_class(emb, protos.classes, protos.vectors))
 
     def score(preds):
         if preds is None:

@@ -191,9 +191,6 @@ def client_local_update(
     # Fresh momentum buffers every round: clients start from a new global
     # model, so stale velocity would mix optimization states.
     opt = OptimizerState.zeros(params, cfg.learning_rate, cfg.momentum)
-    is_fedpr = cfg.strategy == "fedpr"
-    lam = cfg.lam if is_fedpr else 0.0
-    protos_for_loss = global_protos if is_fedpr else None
 
     epoch_loss = 0.0
     for _ in range(cfg.local_epochs):
@@ -205,8 +202,8 @@ def client_local_update(
                 params,
                 train_data.images[batch_idx],
                 train_data.labels[batch_idx],
-                protos_for_loss,
-                lam,
+                global_protos,
+                cfg.lam,
                 cfg.proto_loss_form,
             )
             if not math.isfinite(report.total_loss):
@@ -218,17 +215,15 @@ def client_local_update(
             epoch_loss += report.total_loss * len(batch_idx)
     train_loss = epoch_loss / len(indices)
 
-    protos = compute_local_prototypes(params, train_data, state.shard) if is_fedpr else []
+    protos = compute_local_prototypes(params, train_data, state.shard) if cfg.strategy == "fedpr" else []
     return params, protos, train_loss
 
 
-def server_weighted_average(
-    updates: Sequence[tuple[ModelParams, float]], client_ids=None
-) -> ModelParams:
+def server_weighted_average(updates: Sequence[tuple[ModelParams, float]]) -> ModelParams:
     """Element-wise average with weights D_i / sum(D_i).
 
-    Weights are normalized first and the sum runs in client-id order, so
-    the result is exactly invariant to the order updates arrive in.
+    Weights are normalized first and the sum runs in the order given,
+    which sets the low bits; run_round gives the updates in client-id order.
     """
     updates = list(updates)
     if not updates:
@@ -236,14 +231,9 @@ def server_weighted_average(
     total = float(sum(weight for _, weight in updates))
     if total <= 0:
         raise ValueError(f"total update weight must be positive, got {total}")
-    if client_ids is None:
-        client_ids = list(range(len(updates)))
-    order = sorted(range(len(updates)), key=lambda i: client_ids[i])
-
-    reference = updates[order[0]][0]
+    reference = updates[0][0]
     out = None
-    for i in order:
-        params, weight = updates[i]
+    for params, weight in updates:
         if not params.same_structure(reference):
             raise DimensionError("cannot average models with different layer structure")
         w = weight / total
@@ -266,42 +256,37 @@ def run_round(
     """One synchronous round against a fixed (params, prototypes) snapshot.
 
     All clients see the same inputs; aggregation happens once, after the
-    last client finishes. Clients with empty shards are skipped (averaged
-    with weight 0).
+    last client finishes. Clients run and are aggregated in client-id
+    order, whatever the order of ``clients``, so the outcome does not
+    depend on it. Clients with empty shards are skipped.
     """
-    results = []  # (client_id, params, prototypes, loss, weight)
-    for state in clients:
-        if not len(state.shard):
-            continue
+    active = sorted((state for state in clients if len(state.shard)), key=lambda state: state.client_id)
+    if not active:
+        raise ValueError("no client has any data; nothing to aggregate")
+    updates, local_protos, losses = [], [], []
+    for state in active:
         params_i, protos_i, loss_i = client_local_update(
             state, global_params, global_protos, cfg, train_data, round_index
         )
-        results.append((state.client_id, params_i, protos_i, loss_i, float(len(state.shard))))
-    if not results:
-        raise ValueError("no client has any data; nothing to aggregate")
-    # Reduce in client-id order so the outcome is exactly independent of
-    # the schedule the clients ran in.
-    results.sort(key=lambda r: r[0])
+        updates.append((params_i, float(len(state.shard))))
+        local_protos.append(protos_i)
+        losses.append(loss_i)
 
-    ids = [r[0] for r in results]
-    new_params = server_weighted_average([(r[1], r[4]) for r in results], client_ids=ids)
+    new_params = server_weighted_average(updates)
     if cfg.strategy == "fedpr":
         new_protos = aggregate_global_prototypes(
-            [r[2] for r in results],
+            local_protos,
             round_index=round_index,
             denominator=cfg.agg_denominator,
             support_weighted=cfg.support_weighted_protos,
-            client_ids=ids,
         )
     else:
         new_protos = GlobalPrototypeSet.empty(round_index)
 
-    total_weight = sum(r[4] for r in results)
-    mean_train_loss = sum((r[4] / total_weight) * r[3] for r in results)
+    total_weight = sum(weight for _, weight in updates)
+    mean_train_loss = sum((weight / total_weight) * loss for (_, weight), loss in zip(updates, losses))
 
-    mode = cfg.eval_inference
-    if cfg.strategy == "fedavg" or not len(new_protos):
-        mode = "softmax"
+    mode = cfg.eval_inference if len(new_protos) else "softmax"
     report = evaluate_accuracy(new_params, new_protos, test_data, mode)
     record = RoundRecord(round_index, mean_train_loss, report.accuracy_softmax, report.accuracy_prototype)
     return new_params, new_protos, record

@@ -416,11 +416,15 @@ def _conv_pool_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
 
     Exact for a finite bias: rounding is monotonic, so
     max_i fl(m_i + b) == fl(max_i m_i + b), and max commutes with ReLU.
-    It saves a full-size bias pass and a full-size ReLU pass.
+    It saves a full-size bias pass and a full-size ReLU pass. An infinite
+    bias can turn -inf + inf into NaN in one window position, which
+    pooling first would skip, so a non-finite bias is added before the pool.
     """
-    a, _ = _conv2d_cached(layer.weight, None, x)
+    finite = np.isfinite(layer.bias).all()
+    a, _ = _conv2d_cached(layer.weight, None if finite else layer.bias, x)
     a = _maxpool2_fast(a)
-    a += layer.bias[:, None, None]
+    if finite:
+        a += layer.bias[:, None, None]
     if layer.relu:
         np.maximum(a, 0.0, out=a)
     return a
@@ -436,12 +440,6 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
     for idx in range(lo, hi):
         layer = params.layers[idx]
         cache = {"input_shape": a.shape} if want_cache else None
-        # An infinite bias can turn -inf + inf into NaN in one window
-        # position, which pooling first would skip.
-        pool_first = (
-            not want_cache and layer.kind == "conv" and layer.pool
-            and np.isfinite(layer.bias).all()
-        )
         if layer.kind == "dense":
             flat = a.reshape(a.shape[0], -1) if a.ndim > 2 else a
             if flat.shape[1] != layer.weight.shape[1]:
@@ -452,27 +450,24 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
             if want_cache:
                 cache["x"] = flat
             a = flat @ layer.weight.T + layer.bias
+        elif a.ndim != 4:
+            raise DimensionError(
+                f"conv layer {layer.name!r}: input must be [batch, C, H, W], got {a.shape}"
+            )
+        elif layer.pool and not want_cache:
+            a = _conv_pool_forward(layer, a)
         else:
-            if a.ndim != 4:
-                raise DimensionError(
-                    f"conv layer {layer.name!r}: input must be [batch, C, H, W], got {a.shape}"
-                )
-            if pool_first:
-                a = _conv_pool_forward(layer, a)
-            else:
-                a, cols = _conv2d_cached(layer.weight, layer.bias, a)
-                if want_cache:
-                    cache["cols"] = cols
-        if want_cache and layer.pool:
-            a, cache["route"] = _maxpool2_cached(a, layer.relu)
-            cache["pool_out"] = a
-        elif not pool_first:
-            if layer.relu:
-                if want_cache:
-                    cache["preact"] = a
-                a = np.maximum(a, 0.0)
-            if layer.pool:
-                a = _maxpool2_fast(a)
+            a, cols = _conv2d_cached(layer.weight, layer.bias, a)
+            if want_cache:
+                cache["cols"] = cols
+        if layer.pool:
+            if want_cache:
+                a, cache["route"] = _maxpool2_cached(a, layer.relu)
+                cache["pool_out"] = a
+        elif layer.relu:
+            if want_cache:
+                cache["preact"] = a
+            a = np.maximum(a, 0.0)
         if want_cache:
             caches.append(cache)
         if idx == params.extractor_boundary - 1:
@@ -586,19 +581,24 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
 def _prototype_pull(
     emb: np.ndarray,
     labels: np.ndarray,
-    table: np.ndarray,
-    has_proto: np.ndarray,
+    classes: np.ndarray,
+    vectors: np.ndarray,
     proto_form: str,
 ):
     """Batch-mean pull term and its gradient w.r.t. the embeddings.
 
-    Each row's prototype is gathered from a [classes, d] table; rows whose
-    class has no prototype (``has_proto`` false) add nothing to the loss
-    and get a zero gradient.
+    Each row's prototype is the row of ``vectors`` whose entry in the
+    ascending ``classes`` equals its label; rows whose class has no
+    prototype add nothing to the loss and get a zero gradient.
     """
+    if vectors.shape[1] != emb.shape[1]:
+        raise DimensionError(
+            f"prototypes have dimension {vectors.shape[1]}, expected dimension {emb.shape[1]}"
+        )
     n = emb.shape[0]
-    rows = np.flatnonzero(has_proto[labels])
-    diff = emb[rows] - table[labels[rows]]
+    at = np.minimum(np.searchsorted(classes, labels), len(classes) - 1)
+    rows = np.flatnonzero(classes[at] == labels)
+    diff = emb[rows] - vectors[at[rows]]
     # vecdot (numpy >= 2.0) reproduces `diff_i @ diff_i` bit for bit;
     # einsum does not.
     per_sample = np.vecdot(diff, diff)
@@ -649,8 +649,9 @@ def loss_and_grad(
     proto_loss = 0.0
     d_emb = None
     if global_protos:
-        table, has_proto = global_protos.pull_table(logits.shape[1], emb.shape[1])
-        proto_loss, d_emb = _prototype_pull(emb, labels, table, has_proto, proto_form)
+        proto_loss, d_emb = _prototype_pull(
+            emb, labels, global_protos.classes, global_protos.vectors, proto_form
+        )
 
     total = ce_loss + lam * proto_loss
     inject = d_emb * lam if (d_emb is not None and lam != 0.0) else None

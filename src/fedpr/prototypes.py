@@ -4,12 +4,12 @@ and the prototype set that the loss and inference read."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ClientShard, Dataset
-from .errors import DimensionError, EmptyPrototypesError
+from .errors import DimensionError
 from .nn import ModelParams, model_forward
 
 _EVAL_CHUNK = 256
@@ -30,74 +30,63 @@ class Prototype:
 
 
 @dataclass
-class GlobalPrototype:
-    vector: np.ndarray
-    contributors: int
-
-
-@dataclass
 class GlobalPrototypeSet:
-    """Class-indexed aggregated prototypes for one round."""
+    """Aggregated prototypes for one round, in the form the loss and
+    inference read: ascending distinct class ids, their vectors as the
+    rows of a [k, d] matrix, and each class's contributor count.
 
-    entries: dict[int, GlobalPrototype] = field(default_factory=dict)
+    The arrays are validated once, here; a vector of the wrong length
+    raises DimensionError naming its class.
+    """
+
+    classes: np.ndarray
+    vectors: np.ndarray
+    contributors: np.ndarray
     round_index: int = 0
+
+    def __post_init__(self):
+        self.classes = np.asarray(self.classes, dtype=np.int64)
+        self.contributors = np.asarray(self.contributors, dtype=np.int64)
+        rows = [np.asarray(v, dtype=np.float64) for v in self.vectors]
+        if self.classes.shape != (len(rows),) or self.contributors.shape != (len(rows),):
+            raise DimensionError(
+                f"{len(rows)} prototype vectors need as many classes and contributor counts, "
+                f"got shapes {self.classes.shape} and {self.contributors.shape}"
+            )
+        if np.any(np.diff(self.classes) <= 0):
+            raise ValueError(
+                f"prototype classes must be ascending and distinct, got {self.classes.tolist()}"
+            )
+        dim = rows[0].shape[0] if rows and rows[0].ndim else 0
+        for j, row in zip(self.classes, rows):
+            if row.shape != (dim,):
+                raise DimensionError(
+                    f"prototype for class {j} has shape {row.shape}, expected dimension {dim}"
+                )
+        self.vectors = np.array(rows).reshape(len(rows), dim)
 
     @classmethod
     def empty(cls, round_index: int = 0) -> "GlobalPrototypeSet":
-        return cls({}, round_index)
+        return cls([], [], [], round_index)
 
     @classmethod
     def from_vectors(cls, vectors) -> "GlobalPrototypeSet":
         """One single-contributor prototype per {class: vector} item."""
-        return cls({int(j): GlobalPrototype(np.asarray(v, dtype=np.float64), 1) for j, v in vectors.items()})
+        items = sorted(((int(j), v) for j, v in vectors.items()), key=lambda item: item[0])
+        return cls([j for j, _ in items], [v for _, v in items], [1] * len(items))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.entries
-
-    def classes(self) -> list[int]:
-        return sorted(self.entries)
+        return len(self.classes)
 
     def class_vectors(self) -> dict[int, np.ndarray]:
-        return {j: self.entries[j].vector for j in sorted(self.entries)}
-
-    def matrix(self, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted class ids and their vectors as matrix rows, each of shape
-        (dim,), by default the first one's; raises EmptyPrototypesError if empty."""
-        if not self.entries:
-            raise EmptyPrototypesError("no global prototypes available")
-        classes = self.classes()
-        vectors = [self.entries[j].vector for j in classes]
-        dim = len(vectors[0]) if dim is None else dim
-        for j, vec in zip(classes, vectors):
-            if vec.shape != (dim,):
-                raise DimensionError(
-                    f"prototype for class {j} has shape {vec.shape}, expected dimension {dim}"
-                )
-        return np.asarray(classes, dtype=np.int64), np.array(vectors)
-
-    def pull_table(self, num_classes: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """A [num_classes, dim] table of prototypes, zero where a class has
-        none, and its has-prototype mask; classes outside the table are left out."""
-        classes, matrix = self.matrix(dim)
-        lo, hi = np.searchsorted(classes, (0, num_classes))  # the classes are sorted
-        table = np.zeros((num_classes, dim))
-        table[classes[lo:hi]] = matrix[lo:hi]
-        has_proto = np.zeros(num_classes, dtype=bool)
-        has_proto[classes[lo:hi]] = True
-        return table, has_proto
+        return dict(zip(self.classes.tolist(), self.vectors))
 
     def to_json_dict(self) -> dict:
         return {
             "round": self.round_index,
             "classes": {
-                str(j): {
-                    "vector": [float(v) for v in self.entries[j].vector],
-                    "contributors": self.entries[j].contributors,
-                }
-                for j in sorted(self.entries)
+                str(j): {"vector": vector.tolist(), "contributors": count}
+                for j, vector, count in zip(self.classes.tolist(), self.vectors, self.contributors.tolist())
             },
         }
 
@@ -106,13 +95,13 @@ class GlobalPrototypeSet:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "GlobalPrototypeSet":
-        entries = {
-            int(j): GlobalPrototype(
-                np.asarray(spec["vector"], dtype=np.float64), int(spec["contributors"])
-            )
-            for j, spec in payload["classes"].items()
-        }
-        return cls(entries, int(payload["round"]))
+        items = sorted(((int(j), spec) for j, spec in payload["classes"].items()), key=lambda item: item[0])
+        return cls(
+            [j for j, _ in items],
+            [spec["vector"] for _, spec in items],
+            [int(spec["contributors"]) for _, spec in items],
+            int(payload["round"]),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "GlobalPrototypeSet":
@@ -153,29 +142,25 @@ def aggregate_global_prototypes(
     round_index: int = 0,
     denominator: str = "contributors",
     support_weighted: bool = False,
-    client_ids=None,
 ) -> GlobalPrototypeSet:
     """Average per-client prototypes into one global vector per class.
 
     The default divides each class's sum by the number of clients that
     reported the class; denominator="all_clients" divides by the total
     client count instead. support_weighted switches to a sample-count
-    weighted mean. Inputs are folded in client-id order, so the result
-    does not depend on the order the sequences arrive in.
+    weighted mean. The clients are folded in the order given, which sets
+    the low bits; run_round gives them in client-id order.
     """
     if denominator not in ("contributors", "all_clients"):
         raise ValueError(f"unknown denominator {denominator!r}")
     client_list = list(all_client_prototypes)
-    if client_ids is None:
-        client_ids = list(range(len(client_list)))
-    order = sorted(range(len(client_list)), key=lambda i: client_ids[i])
 
     dim = None
     sums: dict[int, np.ndarray] = {}
     weight_totals: dict[int, float] = {}
     contributors: dict[int, int] = {}
-    for i in order:
-        for proto in client_list[i]:
+    for client_protos in client_list:
+        for proto in client_protos:
             if dim is None:
                 dim = proto.vector.shape[0]
             elif proto.vector.shape[0] != dim:
@@ -193,8 +178,11 @@ def aggregate_global_prototypes(
                 weight_totals[proto.class_id] = w
                 contributors[proto.class_id] = 1
 
-    entries = {}
-    for cls in sorted(sums):
-        denom = float(len(client_list)) if denominator == "all_clients" else weight_totals[cls]
-        entries[cls] = GlobalPrototype(sums[cls] / denom, contributors[cls])
-    return GlobalPrototypeSet(entries, round_index)
+    classes = sorted(sums)
+    denoms = [float(len(client_list)) if denominator == "all_clients" else weight_totals[c] for c in classes]
+    return GlobalPrototypeSet(
+        classes,
+        [sums[c] / denom for c, denom in zip(classes, denoms)],
+        [contributors[c] for c in classes],
+        round_index,
+    )

@@ -142,8 +142,9 @@ def loss_and_grad(params, batch, labels, global_protos=None, lam=1.0, proto_form
     proto_loss = 0.0
     d_emb = None
     if global_protos:
-        table, has_proto = global_protos.pull_table(logits.shape[1], emb.shape[1])
-        proto_loss, d_emb = _prototype_pull(emb, labels, table, has_proto, proto_form)
+        proto_loss, d_emb = _prototype_pull(
+            emb, labels, global_protos.classes, global_protos.vectors, proto_form
+        )
     total = ce_loss + lam * proto_loss
     inject = d_emb * lam if (d_emb is not None and lam != 0.0) else None
     return BatchLossReport(total, ce_loss, proto_loss, backward(params, caches, dlogits, inject))

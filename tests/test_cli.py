@@ -346,6 +346,20 @@ def test_partition_report_matches_direct_partition(tmp_path):
         assert counts[client, cls] == count
 
 
+def test_failed_partition_report_write_keeps_earlier_file(tmp_path, monkeypatch):
+    flags = ["partition-report", "--dataset", "synthetic", "--model", "mlp2", "--out", str(tmp_path)]
+    assert run_cli(flags + ["--clients", "2"]) == 0
+    before = (tmp_path / "partition.csv").read_bytes()
+
+    def disk_full(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    assert run_cli(flags + ["--clients", "3"]) == 2
+    assert (tmp_path / "partition.csv").read_bytes() == before
+    assert os.listdir(tmp_path) == ["partition.csv"]
+
+
 def test_partition_report_stdout(capsys):
     rc = run_cli([
         "partition-report", "--dataset", "synthetic", "--model", "mlp2",

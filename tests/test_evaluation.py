@@ -92,7 +92,7 @@ def test_prototype_of_a_class_outside_the_dataset_is_predicted_then_rejected():
     # rejects a predicted class outside [0, num_classes).
     ds = Dataset(np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 0.0]]), np.array([0, 1, 1]), 2)
     protos = GlobalPrototypeSet.from_vectors({-1: [-5.0, 0.0], 0: [0.0, 0.0], 7: [5.0, 5.0]})
-    assert _nearest_class(ds.images, *protos.matrix()).tolist() == [0, 7, -1]
+    assert _nearest_class(ds.images, protos.classes, protos.vectors).tolist() == [0, 7, -1]
     with pytest.raises(DimensionError, match="prediction values outside"):
         evaluate_accuracy(passthrough_model(2), protos, ds, mode="prototype")
 
@@ -101,7 +101,8 @@ def test_scaling_distances_keeps_predictions():
     rng = np.random.default_rng(3)
     vectors = {c: rng.normal(size=4) for c in range(3)}
     x = rng.normal(size=(10, 4))
-    base = _nearest_class(x, *GlobalPrototypeSet.from_vectors(vectors).matrix())
+    protos = GlobalPrototypeSet.from_vectors(vectors)
+    base = _nearest_class(x, protos.classes, protos.vectors)
     # scaling every embedding/prototype by the same positive constant
     # scales all distances by its square and keeps every argmin
     scaled_model = ModelParams([LayerParams("id", "dense", 3.0 * np.eye(4), np.zeros(4))], 1)

@@ -614,7 +614,7 @@ def test_loss_prototype_dimension_mismatch():
     rng = np.random.default_rng(18)
     params = build_mlp2(rng, 4, 2, hidden=6)
     protos = GlobalPrototypeSet.from_vectors({0: np.zeros(5)})
-    with pytest.raises(DimensionError, match="dimension"):
+    with pytest.raises(DimensionError, match="expected dimension 6"):
         loss_and_grad(params, rng.normal(size=(2, 4)), [0, 1], protos, 1.0)
 
 
@@ -678,11 +678,27 @@ def test_prototype_pull_matches_loop_bitwise(proto_form):
         n = int(rng.integers(1, 20))
         dim = int(rng.choice([1, 5, 50, 128]))
         emb, labels, vectors = random_pull_case(rng, n, dim, 10)
-        table, has_proto = GlobalPrototypeSet.from_vectors(vectors).pull_table(10, dim)
-        loss, d_emb = _prototype_pull(emb, labels, table, has_proto, proto_form)
+        protos = GlobalPrototypeSet.from_vectors(vectors)
+        loss, d_emb = _prototype_pull(emb, labels, protos.classes, protos.vectors, proto_form)
         expect_loss, expect_d_emb = loop_prototype_pull(emb, labels, vectors, proto_form)
         assert loss == expect_loss
         assert np.array_equal(d_emb, expect_d_emb)
+
+
+@pytest.mark.parametrize("proto_form", ["squared", "unsquared"])
+def test_prototype_pull_skips_classes_outside_the_labels(proto_form):
+    # Classes -3 and 12 sit below and above every label, so no row matches
+    # them; the rows of label 4 find their prototype between them.
+    rng = np.random.default_rng(27)
+    emb = rng.normal(size=(6, 3))
+    labels = np.array([0, 4, 9, 4, 3, 0])
+    vectors = {-3: rng.normal(size=3), 4: rng.normal(size=3), 12: rng.normal(size=3)}
+    protos = GlobalPrototypeSet.from_vectors(vectors)
+    loss, d_emb = _prototype_pull(emb, labels, protos.classes, protos.vectors, proto_form)
+    expect_loss, expect_d_emb = loop_prototype_pull(emb, labels, vectors, proto_form)
+    assert loss == expect_loss > 0.0
+    assert d_emb.tobytes() == expect_d_emb.tobytes()
+    assert np.flatnonzero(d_emb.any(axis=1)).tolist() == [1, 3]
 
 
 @pytest.mark.parametrize("proto_form", ["squared", "unsquared"])

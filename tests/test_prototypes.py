@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedpr.data import ClientShard, Dataset
-from fedpr.errors import DimensionError, EmptyPrototypesError
+from fedpr.errors import DimensionError
 from fedpr.evaluation import _nearest_class
 from fedpr.nn import LayerParams, ModelParams, build_mlp2, model_forward
 from fedpr.prototypes import (
@@ -96,18 +96,17 @@ def test_prototype_support_validation():
 def test_single_client_aggregation_is_identity():
     protos = [Prototype(0, np.array([1.0, 2.0]), 3), Prototype(2, np.array([0.0, -1.0]), 1)]
     agg = aggregate_global_prototypes([protos])
-    assert agg.classes() == [0, 2]
-    assert np.array_equal(agg.entries[0].vector, [1.0, 2.0])
-    assert np.array_equal(agg.entries[2].vector, [0.0, -1.0])
-    assert agg.entries[0].contributors == 1
+    assert agg.classes.tolist() == [0, 2]
+    assert agg.vectors.tolist() == [[1.0, 2.0], [0.0, -1.0]]
+    assert agg.contributors.tolist() == [1, 1]
 
 
 def test_identical_vectors_average_to_themselves():
     v = np.array([0.3, -0.7, 1.1])
     clients = [[Prototype(1, v.copy(), 2)] for _ in range(3)]
     agg = aggregate_global_prototypes(clients)
-    assert np.allclose(agg.entries[1].vector, v, atol=1e-15)
-    assert agg.entries[1].contributors == 3
+    assert np.allclose(agg.class_vectors()[1], v, atol=1e-15)
+    assert agg.contributors.tolist() == [3]
 
 
 def test_hand_mean_over_three_clients():
@@ -117,26 +116,8 @@ def test_hand_mean_over_three_clients():
         [Prototype(4, np.array([1.0, 1.0]), 1)],
     ]
     agg = aggregate_global_prototypes(clients)
-    assert np.allclose(agg.entries[4].vector, [2 / 3, 2 / 3], atol=1e-15)
-    assert agg.entries[4].contributors == 3
-
-
-def test_aggregation_exactly_permutation_invariant():
-    rng = np.random.default_rng(103)
-    clients = [
-        [Prototype(int(c), rng.normal(size=4), int(rng.integers(1, 6)))
-         for c in rng.choice(5, size=3, replace=False)]
-        for _ in range(5)
-    ]
-    ids = list(range(5))
-    base = aggregate_global_prototypes(clients, client_ids=ids)
-    perm = [3, 0, 4, 2, 1]
-    shuffled = aggregate_global_prototypes(
-        [clients[i] for i in perm], client_ids=[ids[i] for i in perm]
-    )
-    assert base.classes() == shuffled.classes()
-    for cls in base.classes():
-        assert np.array_equal(base.entries[cls].vector, shuffled.entries[cls].vector)
+    assert np.allclose(agg.class_vectors()[4], [2 / 3, 2 / 3], atol=1e-15)
+    assert agg.contributors.tolist() == [3]
 
 
 def test_aggregate_mean_stays_in_coordinate_hull():
@@ -145,8 +126,8 @@ def test_aggregate_mean_stays_in_coordinate_hull():
     clients = [[Prototype(0, v, 1)] for v in vectors]
     agg = aggregate_global_prototypes(clients)
     stacked = np.stack(vectors)
-    assert np.all(agg.entries[0].vector >= stacked.min(axis=0) - 1e-12)
-    assert np.all(agg.entries[0].vector <= stacked.max(axis=0) + 1e-12)
+    assert np.all(agg.class_vectors()[0] >= stacked.min(axis=0) - 1e-12)
+    assert np.all(agg.class_vectors()[0] <= stacked.max(axis=0) + 1e-12)
 
 
 def test_all_clients_denominator_literal_form():
@@ -156,8 +137,7 @@ def test_all_clients_denominator_literal_form():
     ]
     agg = aggregate_global_prototypes(clients, denominator="all_clients")
     # class 0 reported by 1 of 2 clients: sum / N shrinks it
-    assert np.array_equal(agg.entries[0].vector, [1.0, 1.0])
-    assert np.array_equal(agg.entries[1].vector, [2.0, 0.0])
+    assert agg.vectors.tolist() == [[1.0, 1.0], [2.0, 0.0]]
 
 
 def test_support_weighted_mean():
@@ -166,7 +146,7 @@ def test_support_weighted_mean():
         [Prototype(0, np.array([4.0]), 3)],
     ]
     agg = aggregate_global_prototypes(clients, support_weighted=True)
-    assert agg.entries[0].vector[0] == pytest.approx(3.0, abs=1e-15)
+    assert agg.class_vectors()[0][0] == pytest.approx(3.0, abs=1e-15)
 
 
 def test_aggregation_dimension_mismatch():
@@ -180,7 +160,7 @@ def test_aggregation_rejects_unknown_denominator():
         aggregate_global_prototypes([], denominator="median")
 
 
-# --- the set as a matrix ---------------------------------------------------
+# --- the set's arrays -----------------------------------------------------
 
 
 def test_squared_and_unsquared_share_argmin():
@@ -189,27 +169,41 @@ def test_squared_and_unsquared_share_argmin():
     rng = np.random.default_rng(106)
     for _ in range(20):
         emb = rng.normal(size=(1, 5))
-        classes, matrix = GlobalPrototypeSet.from_vectors(
-            {c: rng.normal(size=5) for c in range(4)}
-        ).matrix()
-        unsquared = np.sqrt(((emb - matrix) ** 2).sum(axis=1))
-        assert _nearest_class(emb, classes, matrix)[0] == classes[np.argmin(unsquared)]
+        protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=5) for c in range(4)})
+        unsquared = np.sqrt(((emb - protos.vectors) ** 2).sum(axis=1))
+        nearest = _nearest_class(emb, protos.classes, protos.vectors)[0]
+        assert nearest == protos.classes[np.argmin(unsquared)]
 
 
-def test_matrix_and_pull_table():
+def test_set_holds_sorted_class_arrays():
     protos = GlobalPrototypeSet.from_vectors({3: [1.0, 2.0], -1: [3.0, 4.0], 0: [5.0, 6.0]})
-    classes, matrix = protos.matrix()
-    assert classes.tolist() == [-1, 0, 3]
-    assert matrix.tolist() == [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]]
-    table, has_proto = protos.pull_table(3, 2)
-    assert table.tolist() == [[5.0, 6.0], [0.0, 0.0], [0.0, 0.0]]
-    assert has_proto.tolist() == [True, False, False]
-    with pytest.raises(DimensionError, match="class -1 has shape"):
-        protos.pull_table(3, 3)
-    with pytest.raises(EmptyPrototypesError):
-        GlobalPrototypeSet.empty().matrix()
+    assert protos.classes.dtype == np.int64 and protos.classes.tolist() == [-1, 0, 3]
+    assert protos.vectors.dtype == np.float64
+    assert protos.vectors.tolist() == [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]]
+    assert protos.contributors.dtype == np.int64 and protos.contributors.tolist() == [1, 1, 1]
+    assert len(protos) == 3
+    assert list(protos.class_vectors()) == [-1, 0, 3]
+    assert protos.class_vectors()[0].tolist() == [5.0, 6.0]
+
+
+def test_set_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(DimensionError, match="class 2 has shape"):
-        GlobalPrototypeSet.from_vectors({1: [1.0], 2: [1.0, 2.0]}).matrix()
+        GlobalPrototypeSet.from_vectors({1: [1.0], 2: [1.0, 2.0]})
+    with pytest.raises(DimensionError, match="class 5 has shape"):
+        GlobalPrototypeSet([4, 5], [[1.0, 2.0], [[1.0, 2.0]]], [1, 1])
+
+
+@pytest.mark.parametrize("classes", [[2, 1], [1, 1]], ids=["unsorted", "duplicate"])
+def test_set_rejects_unsorted_or_duplicate_classes(classes):
+    with pytest.raises(ValueError, match="ascending and distinct"):
+        GlobalPrototypeSet(classes, [[0.0], [1.0]], [1, 1])
+
+
+def test_set_rejects_mismatched_array_lengths():
+    with pytest.raises(DimensionError, match="2 prototype vectors"):
+        GlobalPrototypeSet([0, 1], [[0.0], [1.0]], [1])
+    with pytest.raises(DimensionError, match="1 prototype vectors"):
+        GlobalPrototypeSet([0, 1], [[0.0]], [1, 1])
 
 
 # --- serialization ----------------------------------------------------------
@@ -226,14 +220,35 @@ def test_global_set_json_roundtrip():
     assert payload["classes"]["0"] == {"vector": [0.25, -1.5], "contributors": 1}
     restored = GlobalPrototypeSet.from_json(entries.to_json())
     assert restored.round_index == 7
-    assert restored.classes() == entries.classes()
-    for cls in entries.classes():
-        assert np.array_equal(restored.entries[cls].vector, entries.entries[cls].vector)
-        assert restored.entries[cls].contributors == entries.entries[cls].contributors
+    assert restored.classes.tobytes() == entries.classes.tobytes()
+    assert restored.vectors.tobytes() == entries.vectors.tobytes()
+    assert restored.contributors.tobytes() == entries.contributors.tobytes()
+
+
+def test_json_string_is_pinned():
+    protos = aggregate_global_prototypes(
+        [[Prototype(2, np.array([0.1, -2.0]), 3), Prototype(10, np.array([1.0, 0.5]), 1)],
+         [Prototype(2, np.array([0.3, 0.0]), 1)]],
+        round_index=4,
+    )
+    assert protos.to_json() == (
+        '{"classes": {"10": {"contributors": 1, "vector": [1.0, 0.5]}, '
+        '"2": {"contributors": 2, "vector": [0.2, -1.0]}}, "round": 4}'
+    )
+    assert GlobalPrototypeSet.from_json(protos.to_json()).to_json() == protos.to_json()
+
+
+def test_json_with_a_vector_of_the_wrong_length_fails_at_load():
+    text = (
+        '{"classes": {"0": {"contributors": 1, "vector": [1.0]}, '
+        '"1": {"contributors": 1, "vector": [1.0, 2.0]}}, "round": 1}'
+    )
+    with pytest.raises(DimensionError, match="class 1 has shape"):
+        GlobalPrototypeSet.from_json(text)
 
 
 def test_empty_set_basics():
     empty = GlobalPrototypeSet.empty(0)
     assert len(empty) == 0
-    assert 3 not in empty
+    assert empty.classes.shape == (0,) and empty.contributors.shape == (0,)
     assert empty.class_vectors() == {}
