@@ -34,7 +34,7 @@ from .nn import (
 )
 from .prototypes import (
     GlobalPrototypeSet,
-    Prototype,
+    LocalPrototypes,
     aggregate_global_prototypes,
     compute_local_prototypes,
 )
@@ -48,9 +48,9 @@ __all__ = [
     "FederationConfig",
     "GlobalPrototypeSet",
     "LayerParams",
+    "LocalPrototypes",
     "ModelParams",
     "OptimizerState",
-    "Prototype",
     "RoundRecord",
     "aggregate_global_prototypes",
     "build_cnn4",

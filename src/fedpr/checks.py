@@ -9,7 +9,7 @@ import numpy as np
 from .data import class_counts, dirichlet_partition
 from .federation import FederationConfig, run_experiment, server_weighted_average
 from .nn import LayerParams, ModelParams, build_mlp2, finite_diff_gradient, loss_and_grad
-from .prototypes import GlobalPrototypeSet, Prototype, aggregate_global_prototypes
+from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_prototypes
 
 
 def gradient_error(instances: int, seed: int) -> float:
@@ -46,16 +46,13 @@ def aggregation_error(instances: int, seed: int) -> float:
     for _ in range(instances):
         n_clients = int(rng.integers(1, 6))
         dim = int(rng.integers(1, 8))
-        clients = [
-            [
-                Prototype(int(c), rng.standard_normal(dim), int(rng.integers(1, 12)))
-                for c in rng.choice(6, size=int(rng.integers(1, 5)), replace=False)
-            ]
-            for _ in range(n_clients)
-        ]
+        clients = []
+        for _ in range(n_clients):
+            c = np.sort(rng.choice(6, size=int(rng.integers(1, 5)), replace=False))
+            clients.append(LocalPrototypes(c, rng.standard_normal((len(c), dim)), rng.integers(1, 12, len(c))))
         agg = aggregate_global_prototypes(clients)
         for cls, vector in agg.class_vectors().items():
-            vectors = [p.vector for protos in clients for p in protos if p.class_id == cls]
+            vectors = np.concatenate([p.vectors[p.classes == cls] for p in clients])
             brute = np.sum(vectors, axis=0) / len(vectors)
             worst = max(worst, float(np.abs(vector - brute).max()))
 

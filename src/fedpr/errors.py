@@ -14,7 +14,7 @@ class NumericError(ArithmeticError):
 
 
 class DataFormatError(ValueError):
-    """An input file does not match the expected binary format."""
+    """An input file or payload does not match its expected format."""
 
 
 class TruncatedFileError(DataFormatError):

@@ -28,7 +28,7 @@ from .nn import (
     loss_and_grad,
     sgd_momentum_step,
 )
-from .prototypes import GlobalPrototypeSet, Prototype, aggregate_global_prototypes, compute_local_prototypes
+from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_prototypes, compute_local_prototypes
 
 log = logging.getLogger(__name__)
 
@@ -174,13 +174,14 @@ def client_local_update(
     cfg: FederationConfig,
     train_data: Dataset,
     round_index: int = 0,
-) -> tuple[ModelParams, list[Prototype], float]:
+) -> tuple[ModelParams, LocalPrototypes | None, float]:
     """E epochs of mini-batch SGD from the global model, then local prototypes.
 
     The shard is reshuffled every epoch from the client's stream for this
     round, client_rng(cfg.master_seed, client_id, round_index); the last
     partial batch is trained on as-is. Global prototypes stay fixed for
-    the whole update. Returns (params, prototypes, final-epoch mean loss).
+    the whole update. Returns (params, prototypes, final-epoch mean loss);
+    the prototypes are None under fedavg.
     """
     indices = state.shard.indices
     if not len(indices):
@@ -215,7 +216,7 @@ def client_local_update(
             epoch_loss += report.total_loss * len(batch_idx)
     train_loss = epoch_loss / len(indices)
 
-    protos = compute_local_prototypes(params, train_data, state.shard) if cfg.strategy == "fedpr" else []
+    protos = compute_local_prototypes(params, train_data, state.shard) if cfg.strategy == "fedpr" else None
     return params, protos, train_loss
 
 

@@ -5,39 +5,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import ClientShard, Dataset
-from .errors import DimensionError
+from .errors import DataFormatError, DimensionError
 from .nn import ModelParams, model_forward
 
 _EVAL_CHUNK = 256
 
 
-@dataclass
-class Prototype:
-    """Mean embedding of one client's samples for one class."""
+class LocalPrototypes(NamedTuple):
+    """One client's per-class mean embeddings in the global set's form, with
+    each class's sample count as its support."""
 
-    class_id: int
-    vector: np.ndarray
-    support: int
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.support < 1:
-            raise ValueError(f"prototype support must be >= 1, got {self.support}")
+    classes: np.ndarray
+    vectors: np.ndarray
+    support: np.ndarray
 
 
 @dataclass
 class GlobalPrototypeSet:
     """Aggregated prototypes for one round, in the form the loss and
     inference read: ascending distinct class ids, their vectors as the
-    rows of a [k, d] matrix, and each class's contributor count.
-
-    The arrays are validated once, here; a vector of the wrong length
-    raises DimensionError naming its class.
-    """
+    rows of a [k, d] matrix, and each class's contributor count. The
+    arrays are checked once, here, by _prototype_arrays."""
 
     classes: np.ndarray
     vectors: np.ndarray
@@ -45,25 +38,9 @@ class GlobalPrototypeSet:
     round_index: int = 0
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes, dtype=np.int64)
-        self.contributors = np.asarray(self.contributors, dtype=np.int64)
-        rows = [np.asarray(v, dtype=np.float64) for v in self.vectors]
-        if self.classes.shape != (len(rows),) or self.contributors.shape != (len(rows),):
-            raise DimensionError(
-                f"{len(rows)} prototype vectors need as many classes and contributor counts, "
-                f"got shapes {self.classes.shape} and {self.contributors.shape}"
-            )
-        if np.any(np.diff(self.classes) <= 0):
-            raise ValueError(
-                f"prototype classes must be ascending and distinct, got {self.classes.tolist()}"
-            )
-        dim = rows[0].shape[0] if rows and rows[0].ndim else 0
-        for j, row in zip(self.classes, rows):
-            if row.shape != (dim,):
-                raise DimensionError(
-                    f"prototype for class {j} has shape {row.shape}, expected dimension {dim}"
-                )
-        self.vectors = np.array(rows).reshape(len(rows), dim)
+        self.classes, self.vectors, self.contributors = _prototype_arrays(
+            self.classes, self.vectors, self.contributors, "contributor"
+        )
 
     @classmethod
     def empty(cls, round_index: int = 0) -> "GlobalPrototypeSet":
@@ -94,23 +71,62 @@ class GlobalPrototypeSet:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "GlobalPrototypeSet":
-        items = sorted(((int(j), spec) for j, spec in payload["classes"].items()), key=lambda item: item[0])
-        return cls(
-            [j for j, _ in items],
-            [spec["vector"] for _, spec in items],
-            [int(spec["contributors"]) for _, spec in items],
-            int(payload["round"]),
-        )
+    def from_json_dict(cls, payload) -> "GlobalPrototypeSet":
+        """Read the to_json_dict form; a missing or malformed field raises
+        DataFormatError naming it, a ragged vector DimensionError."""
+        rows = []
+        for key, spec in _json_field(payload, "classes", dict, "the top level").items():
+            if not key.removeprefix("-").isdecimal():
+                raise DataFormatError(f"prototype JSON: class key {key!r} is not an integer")
+            count = _json_field(spec, "contributors", int, f"class {key}")
+            if count < 1:
+                raise DataFormatError(f"prototype JSON: class {key}: contributors must be >= 1, got {count}")
+            vector = _json_field(spec, "vector", list, f"class {key}")
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vector):
+                raise DataFormatError(f"prototype JSON: class {key}: 'vector' must hold numbers, got {vector!r}")
+            rows.append((int(key), vector, count))
+        rows.sort(key=lambda row: row[0])
+        round_index = _json_field(payload, "round", int, "the top level")
+        return cls([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], round_index)
 
     @classmethod
     def from_json(cls, text: str) -> "GlobalPrototypeSet":
         return cls.from_json_dict(json.loads(text))
 
 
+def _prototype_arrays(classes, vectors, counts, counted: str):
+    """A prototype set's arrays: int64 classes, ascending and distinct, a
+    float64 [k, d] matrix and int64 counts >= 1. A vector of the wrong
+    length raises DimensionError naming its class."""
+    classes = np.asarray(classes, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if classes.shape != (len(rows),) or counts.shape != (len(rows),):
+        raise DimensionError(f"{len(rows)} prototype vectors need as many classes and {counted} counts, "
+                             f"got shapes {classes.shape} and {counts.shape}")
+    if np.any(np.diff(classes) <= 0):
+        raise ValueError(f"prototype classes must be ascending and distinct, got {classes.tolist()}")
+    if np.any(counts < 1):
+        raise ValueError(f"prototype {counted} counts must be >= 1, got {counts.tolist()}")
+    dim = rows[0].shape[0] if rows and rows[0].ndim else 0
+    for j, row in zip(classes, rows):
+        if row.shape != (dim,):
+            raise DimensionError(f"prototype for class {j} has shape {row.shape}, expected dimension {dim}")
+    return classes, np.array(rows).reshape(len(rows), dim), counts
+
+
+def _json_field(obj, key: str, kind: type, where: str):
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"prototype JSON: {where} must be an object, got {type(obj).__name__}")
+    value = obj.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataFormatError(f"prototype JSON: {where}: {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def compute_local_prototypes(
     params: ModelParams, dataset: Dataset, shard: ClientShard
-) -> list[Prototype]:
+) -> LocalPrototypes:
     """Per-class mean embedding over the shard, in one deterministic pass.
 
     Uses evaluation mode (no batching stochasticity): samples are pushed
@@ -120,20 +136,15 @@ def compute_local_prototypes(
     if not len(indices):
         raise ValueError(f"client {shard.client_id}: cannot compute prototypes on an empty shard")
     labels = dataset.labels[indices]
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for start in range(0, len(indices), _EVAL_CHUNK):
-        chunk = indices[start : start + _EVAL_CHUNK]
-        emb, _ = model_forward(params, dataset.images[chunk])
-        for row, cls in enumerate(labels[start : start + _EVAL_CHUNK]):
-            cls = int(cls)
-            if cls in sums:
-                sums[cls] += emb[row]
-                counts[cls] += 1
-            else:
-                sums[cls] = emb[row].copy()
-                counts[cls] = 1
-    return [Prototype(cls, sums[cls] / counts[cls], counts[cls]) for cls in sorted(sums)]
+    chunks = [indices[start : start + _EVAL_CHUNK] for start in range(0, len(indices), _EVAL_CHUNK)]
+    emb = np.concatenate([model_forward(params, dataset.images[chunk])[0] for chunk in chunks])
+    counts = np.bincount(labels)  # Dataset labels are in [0, num_classes)
+    classes = np.flatnonzero(counts)
+    support = counts[classes]
+    # Sum each class in sample order: np.sum's pairwise blocks would move
+    # low bits and turn an all -0.0 column into +0.0.
+    sums = np.array([np.cumsum(emb[labels == c], axis=0)[-1] for c in classes])
+    return LocalPrototypes(classes, sums / support[:, None], support)
 
 
 def aggregate_global_prototypes(
@@ -146,43 +157,31 @@ def aggregate_global_prototypes(
     """Average per-client prototypes into one global vector per class.
 
     The default divides each class's sum by the number of clients that
-    reported the class; denominator="all_clients" divides by the total
-    client count instead. support_weighted switches to a sample-count
-    weighted mean. The clients are folded in the order given, which sets
-    the low bits; run_round gives them in client-id order.
+    reported it; denominator="all_clients" divides by the number of sets
+    given, and run_round gives one per client that trained (none for an
+    empty shard). support_weighted weights each vector by its support.
+    Each set is checked by _prototype_arrays and all share one dimension.
+    The sets are folded in the order given (run_round: client-id order),
+    which sets the low bits.
     """
     if denominator not in ("contributors", "all_clients"):
         raise ValueError(f"unknown denominator {denominator!r}")
-    client_list = list(all_client_prototypes)
-
-    dim = None
-    sums: dict[int, np.ndarray] = {}
-    weight_totals: dict[int, float] = {}
-    contributors: dict[int, int] = {}
-    for client_protos in client_list:
-        for proto in client_protos:
-            if dim is None:
-                dim = proto.vector.shape[0]
-            elif proto.vector.shape[0] != dim:
-                raise DimensionError(
-                    f"prototype for class {proto.class_id} has dimension "
-                    f"{proto.vector.shape[0]}, expected {dim}"
-                )
-            w = float(proto.support) if support_weighted else 1.0
-            if proto.class_id in sums:
-                sums[proto.class_id] += w * proto.vector
-                weight_totals[proto.class_id] += w
-                contributors[proto.class_id] += 1
-            else:
-                sums[proto.class_id] = w * proto.vector
-                weight_totals[proto.class_id] = w
-                contributors[proto.class_id] = 1
-
-    classes = sorted(sums)
-    denoms = [float(len(client_list)) if denominator == "all_clients" else weight_totals[c] for c in classes]
-    return GlobalPrototypeSet(
-        classes,
-        [sums[c] / denom for c, denom in zip(classes, denoms)],
-        [contributors[c] for c in classes],
-        round_index,
-    )
+    client_list = [LocalPrototypes(*_prototype_arrays(*p, "support")) for p in all_client_prototypes]
+    dim = next((p.vectors.shape[1] for p in client_list if len(p.classes)), 0)
+    for p in client_list:
+        if len(p.classes) and p.vectors.shape[1] != dim:
+            raise DimensionError(f"prototype for class {p.classes[0]} has dimension "
+                                 f"{p.vectors.shape[1]}, expected {dim}")
+    classes = np.array(sorted(set().union(*(p.classes.tolist() for p in client_list))), dtype=np.int64)
+    # -0.0 + x == x for every x, so a class's first add copies its vector.
+    sums = np.full((len(classes), dim), -0.0)
+    weight_totals = np.zeros(len(classes))
+    contributors = np.zeros(len(classes), dtype=np.int64)
+    for p in client_list:
+        rows = np.searchsorted(classes, p.classes)
+        w = p.support.astype(np.float64) if support_weighted else np.ones(len(rows))
+        sums[rows] += w[:, None] * p.vectors.reshape(len(rows), dim)  # an empty set's is [0, 0]
+        weight_totals[rows] += w
+        contributors[rows] += 1
+    denoms = np.full(len(classes), float(len(client_list))) if denominator == "all_clients" else weight_totals
+    return GlobalPrototypeSet(classes, sums / denoms[:, None], contributors, round_index)

@@ -157,7 +157,7 @@ def test_local_update_matches_manual_sgd_loop():
     train, _, shards, params, clients = make_world(cfg)
     state = clients[0]
     got_params, got_protos, got_loss = client_local_update(state, params, GlobalPrototypeSet.empty(), cfg, train, 1)
-    assert got_protos == []
+    assert got_protos is None
 
     # independent trainer: same stream, plain CE objective
     rng = client_rng(cfg.master_seed, state.client_id, 1)
@@ -184,7 +184,8 @@ def test_local_update_single_sample_shard_partial_batch():
         lonely, params, GlobalPrototypeSet.empty(), cfg, train, 1
     )
     assert np.isfinite(loss)
-    assert len(protos) == 1 and protos[0].support == 1
+    assert protos.classes.shape == (1,) and protos.support.tolist() == [1]
+    assert protos.vectors.shape == (1, params.layers[0].weight.shape[0])
     assert not params_equal(new_params, params)
 
 
@@ -223,7 +224,8 @@ def test_round_single_client_returns_its_params():
     )
     assert params_equal(new_params, expect_params)
     assert record.mean_train_loss == expect_loss
-    assert protos.classes.tolist() == [p.class_id for p in expect_protos]
+    assert protos.classes.tobytes() == expect_protos.classes.tobytes()
+    assert protos.vectors.tobytes() == expect_protos.vectors.tobytes()
 
 
 def test_round_one_cold_start_matches_fedavg_loss():
@@ -304,6 +306,29 @@ def test_round_with_no_data_anywhere_rejected():
     only_empty = [ClientState(0, ClientShard(0, []))]
     with pytest.raises(ValueError, match="no client"):
         run_round(params, GlobalPrototypeSet.empty(), only_empty, cfg, 1, train, test)
+
+
+def test_round_all_clients_divisor_counts_only_clients_that_trained():
+    # agg_denominator = all_clients divides each class sum by the number of
+    # clients that trained. On this split 3 of the 20 shards are empty, so
+    # the divisor is 17, not 20.
+    cfg = small_cfg(
+        num_clients=20, dirichlet_alpha=0.05, subsample_n=200, synth_classes=10, synth_per_class=250,
+        agg_denominator="all_clients",
+    )
+    train, test, shards, params, clients = make_world(cfg)
+    active = [state for state in clients if len(state.shard)]
+    assert len(active) == 17
+    _, protos, _ = run_round(params, GlobalPrototypeSet.empty(), clients, cfg, 1, train, test)
+
+    sums = {}
+    for state in active:
+        _, local, _ = client_local_update(state, params, GlobalPrototypeSet.empty(), cfg, train, 1)
+        for c, v in zip(local.classes.tolist(), local.vectors):
+            sums[c] = sums[c] + v if c in sums else v.copy()
+    assert protos.classes.tolist() == sorted(sums)
+    assert protos.vectors.tobytes() == np.stack([sums[c] / 17.0 for c in sorted(sums)]).tobytes()
+    assert protos.vectors.tobytes() != np.stack([sums[c] / 20.0 for c in sorted(sums)]).tobytes()
 
 
 # --- experiments ------------------------------------------------------------
