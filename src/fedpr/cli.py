@@ -64,9 +64,14 @@ def _coerce(key: str, raw: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys fail."""
+    """Parse `key = value` lines of UTF-8 text; '#' starts a comment;
+    unknown keys fail."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start}: not UTF-8 text") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

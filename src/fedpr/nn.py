@@ -10,15 +10,20 @@ implements its own backward pass.
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, LabelError, NumericError
+
+log = logging.getLogger(__name__)
 
 _LAYER_KINDS = ("dense", "conv")
 
@@ -114,6 +119,11 @@ class ModelParams:
             replace(layer, weight=weight, bias=bias)
             for layer, (weight, bias) in zip(self.layers, _layer_views(self.layers, self.vector))
         ]
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so a pickled or deep-copied model's
+        # layers are views of its vector again, not separate arrays.
+        return ModelParams, (self.layers, self.extractor_boundary, self.vector)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.layers, self.extractor_boundary, self.vector.copy())
@@ -405,6 +415,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pin_blas_threads() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread; returns whether it took.
+
+    The low-order bits of a GEMM depend on how many threads split it, so
+    pinning makes results independent of OPENBLAS_NUM_THREADS. The pin
+    holds for the whole process, the host program's GEMMs included.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas*"))
+    if not found:
+        log.warning("BLAS threads not pinned: no libscipy_openblas* in %s", libs)
+        return False
+    try:
+        set_threads = ctypes.CDLL(str(found[0])).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError) as exc:
+        log.warning("BLAS threads not pinned: %s", exc)
+        return False
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+    return True
+
+
+_BLAS_PINNED = _pin_blas_threads()
+
 # Threads that share the conv blocks of one forward-only pass. Each block
 # computes the same values on any thread, so results do not depend on it.
 _CONV_WORKERS = _usable_cpus()
@@ -430,48 +465,57 @@ def _conv_pool_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
     return a
 
 
+def _model_input(x: np.ndarray) -> np.ndarray:
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim < 2:
+        raise DimensionError(f"model input must have a batch axis, got shape {a.shape}")
+    return a
+
+
 def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches):
     """Run layers[lo:hi]; returns (activation, embedding or None).
 
-    With a caches list, appends what each layer's backward pass needs.
+    The embedding is the activation crossing the extractor boundary when
+    that lies inside layers[lo:hi] or at their input. With a caches list,
+    appends what each layer's backward pass needs.
     """
-    want_cache = caches is not None
-    emb = None
+    train = caches is not None
+    emb = a.reshape(len(a), math.prod(a.shape[1:])) if lo == params.extractor_boundary else None
     for idx in range(lo, hi):
         layer = params.layers[idx]
-        cache = {"input_shape": a.shape} if want_cache else None
+        cache = {"input_shape": a.shape} if train else None
         if layer.kind == "dense":
-            flat = a.reshape(a.shape[0], -1) if a.ndim > 2 else a
+            flat = a.reshape(len(a), math.prod(a.shape[1:])) if a.ndim > 2 else a
             if flat.shape[1] != layer.weight.shape[1]:
                 raise DimensionError(
                     f"dense layer {layer.name!r}: weight {layer.weight.shape} does not "
                     f"match input {flat.shape}"
                 )
-            if want_cache:
+            if train:
                 cache["x"] = flat
             a = flat @ layer.weight.T + layer.bias
         elif a.ndim != 4:
             raise DimensionError(
                 f"conv layer {layer.name!r}: input must be [batch, C, H, W], got {a.shape}"
             )
-        elif layer.pool and not want_cache:
+        elif layer.pool and not train:
             a = _conv_pool_forward(layer, a)
         else:
             a, cols = _conv2d_cached(layer.weight, layer.bias, a)
-            if want_cache:
+            if train:
                 cache["cols"] = cols
         if layer.pool:
-            if want_cache:
+            if train:
                 a, cache["route"] = _maxpool2_cached(a, layer.relu)
                 cache["pool_out"] = a
         elif layer.relu:
-            if want_cache:
+            if train:
                 cache["preact"] = a
             a = np.maximum(a, 0.0)
-        if want_cache:
+        if train:
             caches.append(cache)
         if idx == params.extractor_boundary - 1:
-            emb = a.reshape(a.shape[0], -1)
+            emb = a.reshape(len(a), math.prod(a.shape[1:]))
     return a, emb
 
 
@@ -479,10 +523,10 @@ def _conv_blocks_forward(params: ModelParams, a: np.ndarray, stop: int):
     """Forward-only layers[:stop] over blocks of _CONV_BLOCK samples.
 
     The blocks are split into one contiguous run per worker thread; the
-    outputs come back in block order. Returns (activation, embedding or
-    None) like _layers_forward.
+    outputs come back in block order. An empty batch is one empty block.
+    Returns (activation, embedding or None) like _layers_forward.
     """
-    starts = range(0, a.shape[0], _CONV_BLOCK)
+    starts = range(0, max(a.shape[0], 1), _CONV_BLOCK)
 
     def run(first: int, last: int):
         return [
@@ -509,39 +553,30 @@ def _conv_blocks_forward(params: ModelParams, a: np.ndarray, stop: int):
     return out, emb
 
 
-def _forward_cached(params: ModelParams, x: np.ndarray, want_cache: bool = True):
-    """Run the stack, optionally recording what each backward pass needs.
-
-    Returns (embeddings[batch, d], logits, caches). The embedding is the
-    activation crossing the extractor boundary, flattened per sample.
-    Forward-only callers pass want_cache=False and get the same values
-    cheaper: no routing masks, no retained intermediates, conv+pool
-    layers pool before their bias and ReLU, and the leading conv layers
-    run in blocks of _CONV_BLOCK samples spread over _CONV_WORKERS threads.
+def _forward_cached(params: ModelParams, x: np.ndarray):
+    """The training forward: returns (embeddings[batch, d], logits, caches),
+    the caches holding what each layer's backward pass needs. The
+    embedding is the activation crossing the extractor boundary, flattened
+    per sample.
     """
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim < 2:
-        raise DimensionError(f"model input must have a batch axis, got shape {a.shape}")
-    emb = a.reshape(a.shape[0], -1) if params.extractor_boundary == 0 else None
-    caches = [] if want_cache else None
-    start = 0
-    if not want_cache and a.shape[0] > _CONV_BLOCK:
-        while start < len(params.layers) and params.layers[start].kind == "conv":
-            start += 1
-    if start:
-        a, block_emb = _conv_blocks_forward(params, a, start)
-        if block_emb is not None:
-            emb = block_emb
-    a, tail_emb = _layers_forward(params, a, start, len(params.layers), caches)
-    if tail_emb is not None:
-        emb = tail_emb
-    return emb, a, caches
+    caches = []
+    logits, emb = _layers_forward(params, _model_input(x), 0, len(params.layers), caches)
+    return emb, logits, caches
 
 
 def model_forward(params: ModelParams, batch: np.ndarray):
-    """Forward pass returning (embeddings, logits)."""
-    emb, logits, _ = _forward_cached(params, batch, want_cache=False)
-    return emb, logits
+    """Forward-only pass returning (embeddings, logits): the training
+    forward's values without routing masks or retained intermediates.
+    Conv+pool layers pool before their bias and ReLU, and the leading conv
+    layers run in blocks of _CONV_BLOCK samples on _CONV_WORKERS threads.
+    """
+    a = _model_input(batch)
+    stop = 0
+    while stop < len(params.layers) and params.layers[stop].kind == "conv":
+        stop += 1
+    a, emb = _conv_blocks_forward(params, a, stop) if stop else (a, None)
+    a, tail_emb = _layers_forward(params, a, stop, len(params.layers), None)
+    return emb if tail_emb is None else tail_emb, a
 
 
 def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarray | None):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedpr import checks, cli, data
 from fedpr.cli import (
@@ -126,6 +128,52 @@ def test_fedavg_defaults_coerce_lambda_and_eval():
 def test_out_of_range_value_names_key():
     with pytest.raises(ConfigError, match="rounds"):
         parse_config(None, {"rounds": 0})
+
+
+CONFIG_KEYS = list(config_external_dict(parse_config()))
+_VALUES = st.sampled_from(
+    ["0", "1", "-3", "2.5", "1e400", "nan", "-inf", "true", "no", "", "fedavg", "fedpr",
+     "mlp2", "synthetic", "all_clients", "unsquared", "softmax", "1_000", "0x10"]
+) | st.text(max_size=10)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS) | st.text(max_size=8), _VALUES).map(" = ".join),
+    st.sampled_from(["", "# comment", "rounds = 1  # trailing", "="]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _config_file_bytes(draw):
+    data = bytearray("\n".join(draw(st.lists(_LINES, max_size=8))).encode())
+    for _ in range(draw(st.integers(0, 2))):  # bytes that may break the UTF-8
+        data.insert(draw(st.integers(0, len(data))), draw(st.integers(0x80, 0xFF)))
+    return bytes(data)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,  # the same examples on every run
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_config_file_bytes())
+def test_config_file_parses_or_names_its_path_or_key(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        parse_config(path)
+    except ConfigError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}:") or message.split(":")[0] in CONFIG_KEYS, message
+
+
+def test_non_utf8_config_file_names_its_path(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"rounds = 1\nmodel = \xff\n")
+    with pytest.raises(ConfigError, match="byte 19: not UTF-8"):
+        parse_config(path)
+    assert run_cli(["run", "--config", str(path)]) == 2
+    assert f"error: ConfigError: {path}: byte 19" in capsys.readouterr().err
 
 
 def test_config_hash_stable_and_sensitive():

@@ -328,6 +328,24 @@ def test_partition_invalid_args():
         dirichlet_partition(labels, 2, 0.0, seed=0)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    labels=st.lists(st.integers(0, 9), max_size=60),
+    num_clients=st.integers(1, 80),
+    alpha=st.floats(1e-6, 1e4),
+    seed=st.integers(0, 2**32),
+)
+def test_partition_is_a_sorted_disjoint_cover(labels, num_clients, alpha, seed):
+    # More clients than samples, and alphas from one-client-takes-all to
+    # near-uniform, included.
+    shards = dirichlet_partition(np.array(labels, dtype=np.int64), num_clients, alpha, seed)
+    assert [shard.client_id for shard in shards] == list(range(num_clients))
+    for shard in shards:
+        assert shard.indices.dtype == np.int64 and np.all(np.diff(shard.indices) > 0)
+    cover = np.sort(np.concatenate([shard.indices for shard in shards]))
+    assert np.array_equal(cover, np.arange(len(labels)))
+
+
 @pytest.mark.skipif(
     find_idx_file(DATA_DIR, "mnist", "train_images") is None,
     reason=f"MNIST IDX files not found under {DATA_DIR!r}",

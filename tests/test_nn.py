@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -88,6 +90,30 @@ def test_copy_shares_no_memory():
         assert np.shares_memory(a.weight, dup.vector)
     dup.vector += 1.0
     assert not np.array_equal(dup.layers[0].weight, params.layers[0].weight)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_pickled_and_deep_copied_params_keep_layers_as_vector_views(clone):
+    rng = np.random.default_rng(32)
+    params = build_cnn4(rng)
+    dup = clone(params)
+    assert dup.same_structure(params) and dup.vector.tobytes() == params.vector.tobytes()
+    assert not np.shares_memory(dup.vector, params.vector)
+    for layer in dup.layers:
+        assert np.shares_memory(layer.weight, dup.vector)
+        assert np.shares_memory(layer.bias, dup.vector)
+    # One training step on each: the forward pass reads the layers and the
+    # optimizer writes the vector, so the two must be one storage.
+    x = rng.random((8, 1, 28, 28))
+    y = np.arange(8) % 10
+    for model in (params, dup):
+        report = loss_and_grad(model, x, y)
+        sgd_momentum_step(model, report.grads, OptimizerState.zeros(model, 0.1, 0.9))
+    assert dup.vector.tobytes() == params.vector.tobytes()
+    for a, b in zip(dup.layers, params.layers):
+        assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 def test_bad_layer_shapes_and_vector_raise_dimension_error():
@@ -393,7 +419,7 @@ def same_bits(a, b) -> bool:
 def cached_forward(params, x):
     """The training path's forward: whole-batch convs, bias and ReLU before
     the pool, no threads."""
-    emb, logits, _ = _forward_cached(params, x, want_cache=True)
+    emb, logits, _ = _forward_cached(params, x)
     return emb, logits
 
 
@@ -510,7 +536,7 @@ def test_model_forward_matches_cached_forward_bitwise_mlp2():
     for batch in (1, 8, 257):
         x = rng.random((batch, 784))
         emb, logits = model_forward(params, x)
-        cached_emb, cached_logits, _ = _forward_cached(params, x, want_cache=True)
+        cached_emb, cached_logits, _ = _forward_cached(params, x)
         assert np.array_equal(emb, cached_emb)
         assert np.array_equal(logits, cached_logits)
 
@@ -520,6 +546,17 @@ def test_model_forward_shape_mismatch():
     params = build_mlp2(rng, 6, 3)
     with pytest.raises(DimensionError):
         model_forward(params, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("boundary", [0, 1, 2, 3, 4])
+def test_model_forward_empty_batch_returns_empty_arrays(boundary):
+    cnn4 = build_cnn4(np.random.default_rng(12))
+    params = ModelParams(cnn4.layers, boundary, cnn4.vector)
+    emb, logits = model_forward(params, np.zeros((0, 1, 28, 28)))
+    width = (784, 1440, 320, 50, 10)[boundary]
+    assert emb.shape == (0, width) and logits.shape == (0, 10)
+    emb, logits = model_forward(build_mlp2(np.random.default_rng(12), 6, 3), np.zeros((0, 6)))
+    assert emb.shape == (0, 128) and logits.shape == (0, 3)
 
 
 # --- composite loss ---------------------------------------------------------
