@@ -23,6 +23,7 @@ from .data import class_counts
 from .errors import ConfigError, DatasetConsistencyError
 from .evaluation import last_k_mean
 from .federation import (
+    CONFIG_NAMES,
     DATASETS,
     MODELS,
     STRATEGIES,
@@ -38,11 +39,7 @@ FORMAT_VERSION = 2
 
 CSV_HEADER = "round,mean_train_loss,acc_softmax,acc_prototype"
 
-# External key <-> FederationConfig field, in field order. "lambda" is a
-# Python keyword, so the dataclass field is "lam"; files and flags use the
-# plain name.
-_RENAMED_FIELDS = {"lam": "lambda", "master_seed": "seed"}
-_KEY_TO_FIELD = {_RENAMED_FIELDS.get(f.name, f.name): f.name for f in fields(FederationConfig)}
+_KEY_TO_FIELD = {key: field for field, key in CONFIG_NAMES.items()}
 _FIELD_TYPES = {f.name: f.type for f in fields(FederationConfig)}
 
 
@@ -116,7 +113,7 @@ def parse_config(path=None, overrides=None) -> FederationConfig:
 
 def config_external_dict(cfg: FederationConfig) -> dict:
     """Resolved config under external key names, in canonical key order."""
-    return {key: getattr(cfg, field) for key, field in _KEY_TO_FIELD.items()}
+    return {key: getattr(cfg, field) for field, key in CONFIG_NAMES.items()}
 
 
 def config_hash(cfg: FederationConfig) -> str:
@@ -329,16 +326,9 @@ def _cmd_compare(args) -> int:
     overrides = _flag_overrides(args)
     if "strategy" in overrides:
         raise ConfigError("strategy: compare always runs fedavg and fedpr; do not set it")
-    base = dict(overrides)
-    base.pop("lambda", None)
-
     cfg_pr = parse_config(args.config, {**overrides, "strategy": "fedpr"})
-    # The baseline leg pins lambda/eval explicitly so a config file written
-    # for fedpr (nonzero lambda, prototype eval) still parses.
-    cfg_avg = parse_config(
-        args.config,
-        {**base, "strategy": "fedavg", "lambda": 0.0, "eval_inference": "softmax"},
-    )
+    # The baseline is the same experiment with the prototype terms off.
+    cfg_avg = cfg_pr.replace(strategy="fedavg", lam=0.0, eval_inference="softmax").validate()
 
     log.info("compare: running fedavg (seed %d)", cfg_avg.master_seed)
     records_avg = run_experiment(cfg_avg, progress=_progress)

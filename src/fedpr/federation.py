@@ -8,10 +8,11 @@ client, round), so a run is a pure function of its configuration.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,72 +77,65 @@ class FederationConfig:
     synth_spread: float = 0.1
 
     def validate(self) -> "FederationConfig":
-        def check(cond, name, msg):
-            if not cond:
-                raise ConfigError(f"{name}: {msg}")
-
-        check(self.num_clients >= 1, "num_clients", f"must be >= 1, got {self.num_clients}")
-        check(self.rounds >= 1, "rounds", f"must be >= 1, got {self.rounds}")
-        check(self.local_epochs >= 1, "local_epochs", f"must be >= 1, got {self.local_epochs}")
-        check(self.batch_size >= 1, "batch_size", f"must be >= 1, got {self.batch_size}")
-        check(
-            0 < self.learning_rate < math.inf,
-            "learning_rate",
-            f"must be finite and > 0, got {self.learning_rate}",
-        )
-        check(0 <= self.momentum < 1, "momentum", f"must be in [0, 1), got {self.momentum}")
-        check(
-            0 < self.dirichlet_alpha < math.inf,
-            "dirichlet_alpha",
-            f"must be finite and > 0, got {self.dirichlet_alpha}",
-        )
-        check(0 <= self.lam < math.inf, "lambda", f"must be finite and >= 0, got {self.lam}")
-        check(self.master_seed >= 0, "seed", f"must be a non-negative integer, got {self.master_seed}")
-        check(self.subsample_n >= 1, "subsample_n", f"must be >= 1, got {self.subsample_n}")
-        check(self.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
-        check(self.model in MODELS, "model", f"must be one of {MODELS}, got {self.model!r}")
-        check(self.dataset in DATASETS, "dataset", f"must be one of {DATASETS}, got {self.dataset!r}")
-        check(
-            self.agg_denominator in AGG_DENOMINATORS,
-            "agg_denominator",
-            f"must be one of {AGG_DENOMINATORS}, got {self.agg_denominator!r}",
-        )
-        check(
-            self.proto_loss_form in PROTO_LOSS_FORMS,
-            "proto_loss_form",
-            f"must be one of {PROTO_LOSS_FORMS}, got {self.proto_loss_form!r}",
-        )
-        check(
-            self.eval_inference in EVAL_MODES,
-            "eval_inference",
-            f"must be one of {EVAL_MODES}, got {self.eval_inference!r}",
-        )
-        if self.strategy == "fedavg":
-            check(self.lam == 0.0, "lambda", "strategy=fedavg forces lambda=0")
-            check(
-                self.eval_inference == "softmax",
-                "eval_inference",
-                "fedavg produces no prototypes; only softmax inference is available",
-            )
-        check(self.synth_classes >= 2, "synth_classes", f"must be >= 2, got {self.synth_classes}")
-        check(self.synth_dim >= 1, "synth_dim", f"must be >= 1, got {self.synth_dim}")
-        check(self.synth_per_class >= 1, "synth_per_class", f"must be >= 1, got {self.synth_per_class}")
-        check(
-            self.synth_test_per_class >= 1,
-            "synth_test_per_class",
-            f"must be >= 1, got {self.synth_test_per_class}",
-        )
-        check(
-            0 <= self.synth_spread < math.inf,
-            "synth_spread",
-            f"must be finite and >= 0, got {self.synth_spread}",
-        )
+        """Check the fields in _RULES order; the first that fails raises
+        ConfigError under its external name."""
+        for field, (ok, text) in _RULES:
+            value = getattr(self, field)
+            if not ok(value, self):
+                raise ConfigError(f"{CONFIG_NAMES[field]}: {text.format(value)}")
         return self
 
-    def replace(self, **changes) -> "FederationConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return FederationConfig(**values)
+    replace = dataclasses.replace
+
+
+# External key of every field, in field order, as config files, flags,
+# artifacts and errors spell it; "lambda" is a Python keyword.
+CONFIG_NAMES = {f.name: f.name for f in dataclasses.fields(FederationConfig)} | {"lam": "lambda", "master_seed": "seed"}
+
+
+# A rule is (ok(value, config), message format); the message gets the value.
+def _at_least(low: int):
+    return (lambda v, c: v >= low), f"must be >= {low}, got {{}}"
+
+
+def _one_of(choices: tuple):
+    return (lambda v, c: v in choices), f"must be one of {choices}, got {{!r}}"
+
+
+def _fedavg_forces(value, text: str):
+    return (lambda v, c: c.strategy != "fedavg" or v == value), text
+
+
+_COUNT = _at_least(1)
+_POSITIVE = (lambda v, c: 0 < v < math.inf), "must be finite and > 0, got {}"
+_NON_NEGATIVE = (lambda v, c: 0 <= v < math.inf), "must be finite and >= 0, got {}"
+
+# Checked in this order, so a config with several faults names the same first one.
+_RULES = (
+    ("num_clients", _COUNT),
+    ("rounds", _COUNT),
+    ("local_epochs", _COUNT),
+    ("batch_size", _COUNT),
+    ("learning_rate", _POSITIVE),
+    ("momentum", (lambda v, c: 0 <= v < 1, "must be in [0, 1), got {}")),
+    ("dirichlet_alpha", _POSITIVE),
+    ("lam", _NON_NEGATIVE),
+    ("master_seed", (lambda v, c: v >= 0, "must be a non-negative integer, got {}")),
+    ("subsample_n", _COUNT),
+    ("strategy", _one_of(STRATEGIES)),
+    ("model", _one_of(MODELS)),
+    ("dataset", _one_of(DATASETS)),
+    ("agg_denominator", _one_of(AGG_DENOMINATORS)),
+    ("proto_loss_form", _one_of(PROTO_LOSS_FORMS)),
+    ("eval_inference", _one_of(EVAL_MODES)),
+    ("lam", _fedavg_forces(0.0, "strategy=fedavg forces lambda=0")),
+    ("eval_inference", _fedavg_forces("softmax", "fedavg produces no prototypes; only softmax inference is available")),
+    ("synth_classes", _at_least(2)),
+    ("synth_dim", _COUNT),
+    ("synth_per_class", _COUNT),
+    ("synth_test_per_class", _COUNT),
+    ("synth_spread", _NON_NEGATIVE),
+)
 
 
 @dataclass

@@ -121,9 +121,9 @@ class ModelParams:
         ]
 
     def __reduce__(self):
-        # Rebuilt through __init__, so a pickled or deep-copied model's
-        # layers are views of its vector again, not separate arrays.
-        return ModelParams, (self.layers, self.extractor_boundary, self.vector)
+        # Rebuilt through __init__ from the layout and the vector, so the
+        # values are sent once and the copy's layers are views of its vector.
+        return _params_from_spec, (*self._spec(), self.vector)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.layers, self.extractor_boundary, self.vector.copy())
@@ -139,6 +139,12 @@ class ModelParams:
 
     def same_structure(self, other: "ModelParams") -> bool:
         return self._spec() == other._spec()
+
+
+def _params_from_spec(extractor_boundary: int, spec, vector: np.ndarray) -> ModelParams:
+    """The model that ModelParams._spec describes, with ``vector`` as its values."""
+    layers = [LayerParams(name, kind, np.empty(w), np.empty(b), relu, pool) for name, kind, w, b, relu, pool in spec]
+    return ModelParams(layers, extractor_boundary, vector)
 
 
 @dataclass

@@ -97,10 +97,12 @@ class GlobalPrototypeSet:
 def _prototype_arrays(classes, vectors, counts, counted: str):
     """A prototype set's arrays: int64 classes, ascending and distinct, a
     float64 [k, d] matrix and int64 counts >= 1. A vector of the wrong
-    length raises DimensionError naming its class."""
+    length raises DimensionError naming its class. A non-empty float64
+    matrix, as compute_local_prototypes returns, is checked whole."""
     classes = np.asarray(classes, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+    whole = isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.dtype == np.float64 and len(vectors)
+    rows = vectors if whole else [np.asarray(v, dtype=np.float64) for v in vectors]
     if classes.shape != (len(rows),) or counts.shape != (len(rows),):
         raise DimensionError(f"{len(rows)} prototype vectors need as many classes and {counted} counts, "
                              f"got shapes {classes.shape} and {counts.shape}")
@@ -108,6 +110,8 @@ def _prototype_arrays(classes, vectors, counts, counted: str):
         raise ValueError(f"prototype classes must be ascending and distinct, got {classes.tolist()}")
     if np.any(counts < 1):
         raise ValueError(f"prototype {counted} counts must be >= 1, got {counts.tolist()}")
+    if whole:  # every row of a matrix has its width
+        return classes, np.array(vectors, order="C"), counts
     dim = rows[0].shape[0] if rows and rows[0].ndim else 0
     for j, row in zip(classes, rows):
         if row.shape != (dim,):

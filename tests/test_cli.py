@@ -22,7 +22,7 @@ from fedpr.cli import (
 )
 from fedpr.data import class_counts, write_idx_images, write_idx_labels
 from fedpr.errors import ConfigError
-from fedpr.federation import RoundRecord, prepare_partition
+from fedpr.federation import FederationConfig, RoundRecord, prepare_partition
 
 
 SYNTH_FLAGS = [
@@ -128,6 +128,109 @@ def test_fedavg_defaults_coerce_lambda_and_eval():
 def test_out_of_range_value_names_key():
     with pytest.raises(ConfigError, match="rounds"):
         parse_config(None, {"rounds": 0})
+
+
+# --- the config contract: each rule's exact message and their order ---------
+
+# One fault per checked field, the first value outside its rule, in the
+# order FederationConfig.validate checks them.
+CONFIG_FAULTS = [
+    ("num_clients", 0, "num_clients: must be >= 1, got 0"),
+    ("rounds", 0, "rounds: must be >= 1, got 0"),
+    ("local_epochs", 0, "local_epochs: must be >= 1, got 0"),
+    ("batch_size", 0, "batch_size: must be >= 1, got 0"),
+    ("learning_rate", 0.0, "learning_rate: must be finite and > 0, got 0.0"),
+    ("momentum", 1.0, "momentum: must be in [0, 1), got 1.0"),
+    ("dirichlet_alpha", 0.0, "dirichlet_alpha: must be finite and > 0, got 0.0"),
+    ("lam", -0.5, "lambda: must be finite and >= 0, got -0.5"),
+    ("master_seed", -1, "seed: must be a non-negative integer, got -1"),
+    ("subsample_n", 0, "subsample_n: must be >= 1, got 0"),
+    ("strategy", "x", "strategy: must be one of ('fedavg', 'fedpr'), got 'x'"),
+    ("model", "x", "model: must be one of ('cnn4', 'mlp2'), got 'x'"),
+    ("dataset", "x", "dataset: must be one of ('mnist', 'fashion', 'synthetic'), got 'x'"),
+    ("agg_denominator", "x", "agg_denominator: must be one of ('contributors', 'all_clients'), got 'x'"),
+    ("proto_loss_form", "x", "proto_loss_form: must be one of ('squared', 'unsquared'), got 'x'"),
+    ("eval_inference", "x", "eval_inference: must be one of ('softmax', 'prototype', 'both'), got 'x'"),
+    ("synth_classes", 1, "synth_classes: must be >= 2, got 1"),
+    ("synth_dim", 0, "synth_dim: must be >= 1, got 0"),
+    ("synth_per_class", 0, "synth_per_class: must be >= 1, got 0"),
+    ("synth_test_per_class", 0, "synth_test_per_class: must be >= 1, got 0"),
+    ("synth_spread", -0.1, "synth_spread: must be finite and >= 0, got -0.1"),
+]
+# The other edges of the interval rules.
+CONFIG_EDGE_FAULTS = [
+    ("learning_rate", math.inf, "learning_rate: must be finite and > 0, got inf"),
+    ("learning_rate", math.nan, "learning_rate: must be finite and > 0, got nan"),
+    ("momentum", -0.1, "momentum: must be in [0, 1), got -0.1"),
+    ("dirichlet_alpha", math.inf, "dirichlet_alpha: must be finite and > 0, got inf"),
+    ("lam", math.inf, "lambda: must be finite and >= 0, got inf"),
+    ("lam", math.nan, "lambda: must be finite and >= 0, got nan"),
+    ("synth_spread", math.inf, "synth_spread: must be finite and >= 0, got inf"),
+]
+
+
+def test_config_faults_cover_every_checked_field():
+    assert len({field for field, _, _ in CONFIG_FAULTS}) == 21
+    FederationConfig().validate()
+
+
+@pytest.mark.parametrize("field,value,message", CONFIG_FAULTS + CONFIG_EDGE_FAULTS)
+def test_each_config_rule_fails_with_its_exact_message(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        FederationConfig(**{field: value}).validate()
+    assert str(info.value) == message
+
+
+def test_config_with_several_faults_names_the_first_in_check_order():
+    for i, (_, _, message) in enumerate(CONFIG_FAULTS):
+        faults = {field: value for field, value, _ in CONFIG_FAULTS[i:]}
+        with pytest.raises(ConfigError) as info:
+            FederationConfig(**faults).validate()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "faults,message",
+    [
+        (dict(lam=1.0, synth_dim=0), "lambda: strategy=fedavg forces lambda=0"),
+        (
+            dict(lam=0.0, eval_inference="both", synth_classes=1),
+            "eval_inference: fedavg produces no prototypes; only softmax inference is available",
+        ),
+        (dict(lam=-1.0, eval_inference="both"), "lambda: must be finite and >= 0, got -1.0"),
+        (
+            dict(lam=1.0, eval_inference="x"),
+            "eval_inference: must be one of ('softmax', 'prototype', 'both'), got 'x'",
+        ),
+    ],
+)
+def test_fedavg_cross_checks_run_between_eval_inference_and_synth_classes(faults, message):
+    with pytest.raises(ConfigError) as info:
+        FederationConfig(strategy="fedavg", **faults).validate()
+    assert str(info.value) == message
+
+
+def test_compare_fedavg_leg_is_the_file_with_the_baseline_pinned(tmp_path, monkeypatch):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "lambda = 0.8\neval_inference = prototype\nseed = 5\ndataset = synthetic\n"
+        "model = mlp2\nrounds = 2\nnum_clients = 2\nlearning_rate = 0.02\n"
+    )
+    legs = {}
+
+    def fake_run(cfg, progress=None):
+        legs[cfg.strategy] = cfg
+        fedavg = cfg.strategy == "fedavg"
+        return [RoundRecord(t, 1.0, 0.5 if fedavg else None, None if fedavg else 0.6) for t in (1, 2)]
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    flags = ["--lambda", "0.3", "--seed", "9", "--clients", "3"]
+    assert run_cli(["compare", "--config", str(path), *flags, "--out", str(tmp_path / "cmp")]) == 0
+    shared = {"seed": 9, "num_clients": 3}
+    want_pr = parse_config(path, {**shared, "lambda": 0.3, "strategy": "fedpr"})
+    want_avg = parse_config(path, {**shared, "strategy": "fedavg", "lambda": 0.0, "eval_inference": "softmax"})
+    assert vars(legs["fedpr"]) == vars(want_pr)
+    assert vars(legs["fedavg"]) == vars(want_avg)
 
 
 CONFIG_KEYS = list(config_external_dict(parse_config()))

@@ -116,6 +116,14 @@ def test_pickled_and_deep_copied_params_keep_layers_as_vector_views(clone):
         assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
+@pytest.mark.parametrize(
+    "build", [build_cnn4, lambda rng: build_mlp2(rng, 784, 10)], ids=["cnn4", "mlp2-784"]
+)
+def test_pickled_params_carry_their_values_once(build):
+    params = build(np.random.default_rng(33))
+    assert len(pickle.dumps(params)) <= len(pickle.dumps(params.vector)) + 2048
+
+
 def test_bad_layer_shapes_and_vector_raise_dimension_error():
     with pytest.raises(DimensionError, match="bias"):
         ModelParams([LayerParams("fc", "dense", np.zeros((2, 3)), np.zeros(3))], 1)

@@ -61,15 +61,45 @@ def test_every_nn_name_the_microbenchmark_calls_exists(monkeypatch):
     assert sorted(name for name in names if not hasattr(nn, name)) == []
 
 
+# One round on a few samples: the workloads' code paths in a fraction of a second.
+SHRUNK = dict(rounds=1, subsample_n=60, synth_per_class=8, synth_test_per_class=4)
+
+
 @pytest.mark.parametrize("workload", ["cnn4-ref-fedpr", "mlp2-50clients-fedpr"])
 def test_shrunken_workload_sets_up_and_runs(monkeypatch, workload):
     load_perfbench(monkeypatch, "tracer")  # workloads.py imports it by that name
     wl = load_perfbench(monkeypatch, "workloads")
     full = wl.workload_config(workload, 0)
-    shrunk = dict(rounds=1, subsample_n=60, synth_per_class=8, synth_test_per_class=4)
-    cfg = full.replace(**shrunk).validate()
+    cfg = full.replace(**SHRUNK).validate()
     setup, seconds = wl.set_up(cfg)
     assert seconds > 0.0 and len(setup.shards) == full.num_clients
     result = wl.run_rounds(setup, cfg)
     assert result.error is None
     assert len(result.round_seconds) == 1 and len(result.state_sha256) == 64
+
+
+@pytest.mark.parametrize("workload", ["cnn4-ref-fedpr", "cnn4-ref-fedavg", "mlp2-50clients-fedpr"])
+def test_traced_pass_sees_every_call_of_a_shrunken_workload(monkeypatch, workload):
+    """The checks of ``perfbench/run.py --trace 1`` on one shrunken run.
+
+    The harness's tracer counts the wrapped calls on one span stack in the
+    calling process, so a src change that moves them to another process
+    or thread makes ``--trace 1`` exit with an error; this fails first.
+    It mirrors how run.py traces today: when the harness changes how it
+    traces (ROADMAP item 2), this guard must change with it.
+    """
+    tracer = load_perfbench(monkeypatch, "tracer")
+    wl = load_perfbench(monkeypatch, "workloads")
+    run = load_perfbench(monkeypatch, "run")
+    cfg = wl.workload_config(workload, 0).replace(**SHRUNK).validate()
+    wraps = tracer.SETUP_WRAPS + tracer.ROUND_WRAPS
+    trace = tracer.Tracer()
+    with trace.installed(wraps):
+        setup, _ = wl.set_up(cfg)
+        result = wl.run_rounds(setup, cfg, trace)
+    assert result.error is None
+    tracer.check_coverage(trace, wraps, cfg.strategy == "fedpr")
+    steps = cfg.local_epochs * sum(-(-len(shard.indices) // cfg.batch_size) for shard in setup.shards)
+    assert trace.get("nn.loss_and_grad").calls == steps > 0
+    rounds = trace.get(tracer.ROUND_SPAN)
+    assert rounds.child_seconds / rounds.seconds >= run.MIN_CHILD_SHARE

@@ -370,6 +370,42 @@ def test_set_rejects_mismatched_array_lengths():
         GlobalPrototypeSet([0, 1], [[0.0]], [1, 1])
 
 
+def matrices():
+    rng = np.random.default_rng(170)
+    base = rng.normal(size=(6, 10))
+    base[rng.random(base.shape) < 0.2] = -0.0
+    yield base
+    yield np.asfortranarray(base)
+    yield base[::2, ::3]
+    yield np.zeros((3, 0))
+    yield np.zeros((0, 4))
+
+
+@pytest.mark.parametrize("matrix", list(matrices()), ids=["c", "fortran", "strided", "no-columns", "no-rows"])
+def test_a_float64_matrix_and_its_rows_give_the_same_bytes(matrix):
+    classes, counts = np.arange(len(matrix)) * 2, np.arange(len(matrix)) + 1
+    whole = prototypes._prototype_arrays(classes, matrix, counts, "support")
+    by_row = prototypes._prototype_arrays(classes, list(matrix), counts, "support")
+    for a, b in zip(whole, by_row):
+        assert same_bits(a, b) and a.flags.c_contiguous and b.flags.c_contiguous
+    assert not np.shares_memory(whole[1], matrix)
+
+
+@pytest.mark.parametrize(
+    "classes,counts",
+    [([0, 1], [1]), ([0, 1, 2], [1, 1, 1]), ([1, 0], [1, 1]), ([0, 1], [1, 0])],
+    ids=["counts", "classes", "order", "count-below-one"],
+)
+def test_a_float64_matrix_and_its_rows_fail_alike(classes, counts):
+    matrix = np.ones((2, 3))
+    messages = []
+    for vectors in (matrix, list(matrix)):
+        with pytest.raises((DimensionError, ValueError)) as info:
+            prototypes._prototype_arrays(classes, vectors, counts, "support")
+        messages.append((type(info.value), str(info.value)))
+    assert messages[0] == messages[1]
+
+
 # --- serialization ----------------------------------------------------------
 
 
