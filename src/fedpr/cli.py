@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,7 +36,13 @@ log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 2
 
-CSV_HEADER = "round,mean_train_loss,acc_softmax,acc_prototype"
+# RoundRecord field -> rounds.csv column and summary.json key, in column order.
+_ROUND_COLUMNS = {
+    "mean_train_loss": "mean_train_loss",
+    "test_accuracy_softmax": "acc_softmax",
+    "test_accuracy_prototype": "acc_prototype",
+}
+CSV_HEADER = ",".join(["round", *_ROUND_COLUMNS.values()])
 
 _KEY_TO_FIELD = {key: field for field, key in CONFIG_NAMES.items()}
 _FIELD_TYPES = {f.name: f.type for f in fields(FederationConfig)}
@@ -103,12 +108,7 @@ def parse_config(path=None, overrides=None) -> FederationConfig:
             "lambda: fedpr with lambda=0 is the fedavg baseline; use strategy=fedavg"
         )
 
-    kwargs = {_KEY_TO_FIELD[k]: v for k, v in merged.items()}
-    try:
-        cfg = FederationConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    return FederationConfig(**{_KEY_TO_FIELD[k]: v for k, v in merged.items()}).validate()
 
 
 def config_external_dict(cfg: FederationConfig) -> dict:
@@ -137,9 +137,8 @@ def _canonical_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _atomic_text_file(path):
-    """Open a text file that replaces ``path`` only once fully written.
+def _write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` only once it is fully written.
 
     The text goes to a temporary file in the same directory, is flushed
     to disk, and is renamed over ``path``; if writing fails, the
@@ -149,12 +148,16 @@ def _atomic_text_file(path):
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as f:
-            yield f
+            f.write(text)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _csv_text(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def _fmt(value) -> str:
@@ -167,14 +170,8 @@ def write_round_csv(records, path) -> None:
     Absent metrics render as empty fields. Records hold no timings, so
     the file is a byte-reproducible function of (config, seed).
     """
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.round_index},{_fmt(r.mean_train_loss)},"
-            f"{_fmt(r.test_accuracy_softmax)},{_fmt(r.test_accuracy_prototype)}"
-        )
-    with _atomic_text_file(path) as f:
-        f.write("\n".join(lines) + "\n")
+    rows = ([r.round_index, *(_fmt(getattr(r, field)) for field in _ROUND_COLUMNS)] for r in records)
+    _write_text(path, _csv_text(CSV_HEADER, rows))
 
 
 def read_round_csv(path) -> list[RoundRecord]:
@@ -202,11 +199,7 @@ def _metric_block(records, k: int) -> dict:
     """Last-k means plus final-round values for every populated field."""
     block = {"k": k, "last_k": {}, "final_round": {}}
     final = records[-1]
-    for field_name, out_name in (
-        ("mean_train_loss", "mean_train_loss"),
-        ("test_accuracy_softmax", "acc_softmax"),
-        ("test_accuracy_prototype", "acc_prototype"),
-    ):
+    for field_name, out_name in _ROUND_COLUMNS.items():
         if all(getattr(r, field_name) is not None for r in records[-k:]):
             block["last_k"][out_name] = last_k_mean(records, k, field_name)
         value = getattr(final, field_name)
@@ -230,9 +223,7 @@ def build_artifact(cfg: FederationConfig, records) -> dict:
 
 
 def write_summary(summary: dict, path) -> None:
-    with _atomic_text_file(path) as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    _write_text(path, json.dumps(summary, indent=2) + "\n")
 
 
 def natural_accuracy_field(cfg: FederationConfig) -> str:
@@ -279,18 +270,15 @@ def build_compare_summary(
 
 
 def write_compare_csv(records_avg, records_pr, path) -> None:
-    lines = ["round,fedavg_acc_softmax,fedpr_acc_softmax,fedpr_acc_prototype,delta_softmax"]
+    rows = []
     for r_avg, r_pr in zip(records_avg, records_pr):
         delta = None
         if r_avg.test_accuracy_softmax is not None and r_pr.test_accuracy_softmax is not None:
             delta = r_pr.test_accuracy_softmax - r_avg.test_accuracy_softmax
-        lines.append(
-            f"{r_avg.round_index},{_fmt(r_avg.test_accuracy_softmax)},"
-            f"{_fmt(r_pr.test_accuracy_softmax)},{_fmt(r_pr.test_accuracy_prototype)},"
-            f"{_fmt(delta)}"
-        )
-    with _atomic_text_file(path) as f:
-        f.write("\n".join(lines) + "\n")
+        rows.append([r_avg.round_index, _fmt(r_avg.test_accuracy_softmax), _fmt(r_pr.test_accuracy_softmax),
+                     _fmt(r_pr.test_accuracy_prototype), _fmt(delta)])
+    header = "round,fedavg_acc_softmax,fedpr_acc_softmax,fedpr_acc_prototype,delta_softmax"
+    _write_text(path, _csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +298,9 @@ def _progress(record: RoundRecord, seconds: float) -> None:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, _flag_overrides(args))
-    records = run_experiment(cfg, progress=_progress)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    records = run_experiment(cfg, progress=_progress)
     summary = build_artifact(cfg, records)
     write_round_csv(records, out / "rounds.csv")
     write_summary(summary, out / "summary.json")
@@ -329,14 +317,14 @@ def _cmd_compare(args) -> int:
     cfg_pr = parse_config(args.config, {**overrides, "strategy": "fedpr"})
     # The baseline is the same experiment with the prototype terms off.
     cfg_avg = cfg_pr.replace(strategy="fedavg", lam=0.0, eval_inference="softmax").validate()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     log.info("compare: running fedavg (seed %d)", cfg_avg.master_seed)
     records_avg = run_experiment(cfg_avg, progress=_progress)
     log.info("compare: running fedpr (seed %d)", cfg_pr.master_seed)
     records_pr = run_experiment(cfg_pr, progress=_progress)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_round_csv(records_avg, out / "rounds_fedavg.csv")
     write_round_csv(records_pr, out / "rounds_fedpr.csv")
     write_compare_csv(records_avg, records_pr, out / "compare.csv")
@@ -358,16 +346,11 @@ def _cmd_partition_report(args) -> int:
     counts = class_counts(shards, train.labels, train.num_classes)
     if not np.array_equal(counts.sum(axis=0), np.bincount(train.labels, minlength=train.num_classes)):
         raise DatasetConsistencyError("partition counts do not add up to the dataset's per-class totals")
-    lines = ["client,class,count"]
-    for client in range(counts.shape[0]):
-        for cls in range(counts.shape[1]):
-            lines.append(f"{client},{cls},{counts[client, cls]}")
-    text = "\n".join(lines) + "\n"
+    text = _csv_text("client,class,count", ((client, cls, count) for (client, cls), count in np.ndenumerate(counts)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with _atomic_text_file(out / "partition.csv") as f:
-            f.write(text)
+        _write_text(out / "partition.csv", text)
         print(f"partition report: {out / 'partition.csv'}")
     else:
         sys.stdout.write(text)

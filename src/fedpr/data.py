@@ -8,7 +8,6 @@ and generates separable synthetic blob datasets for fast tests.
 from __future__ import annotations
 
 import gzip
-import logging
 import struct
 import zlib
 from dataclasses import dataclass
@@ -17,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DatasetConsistencyError, TruncatedFileError
-
-log = logging.getLogger(__name__)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -197,7 +194,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float, seed
 
     One proportion vector is drawn per class; counts are rounded with the
     largest-remainder rule so every sample lands exactly once. Empty
-    shards are allowed (and logged), not an error.
+    shards are allowed, not an error.
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
@@ -223,8 +220,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float, seed
     shards = []
     for client in range(num_clients):
         idx = np.sort(np.concatenate(per_client[client])) if per_client[client] else np.empty(0, np.int64)
-        if not len(idx):
-            log.info("dirichlet_partition: client %d received 0 samples", client)
         shards.append(ClientShard(client, idx))
     return shards
 

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import math
 import os
@@ -521,6 +522,45 @@ def test_partition_report_stdout(capsys):
     assert captured.startswith("client,class,count\n")
 
 
+# --- artifact bytes ---------------------------------------------------------
+
+# sha256 of every file that run, compare and partition-report write for one
+# small synthetic experiment, plus partition-report's stdout; any change to
+# an artifact's bytes has to change these on purpose.
+PINNED_SHA256 = {
+    "compare/compare.csv": "e94f3394935b153d85ed3546e3498cf84052121203860da2069b8a7974b25ab8",
+    "compare/rounds_fedavg.csv": "b39573def7bde09ff879aab201305d50979d41c3656586fe962fbd046d5a16d5",
+    "compare/rounds_fedpr.csv": "838ff73499d8ec2ebd80e990891ecb6e605f443e7bb1b98f6ab6b6708132d897",
+    "compare/summary.json": "4630dedd6355c659342952fcc7c84144f71873a152e3f1ca32b9e9d3c24eae76",
+    "partition-report/partition.csv": "89154745c980cff791ef8575a6496032d9a305fbf965228a30d1193a33e122df",
+    "partition-report/stdout": "89154745c980cff791ef8575a6496032d9a305fbf965228a30d1193a33e122df",
+    "run/rounds.csv": "838ff73499d8ec2ebd80e990891ecb6e605f443e7bb1b98f6ab6b6708132d897",
+    "run/summary.json": "c955597d4e4afde737e9feac27b0748ecb97cfab6e76e64c75171bf0d0089df4",
+}
+
+
+def test_artifact_bytes_are_pinned(tmp_path, capsys):
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(
+        "subsample_n = 200\nsynth_classes = 4\nsynth_dim = 8\n"
+        "synth_per_class = 60\nsynth_test_per_class = 10\nlearning_rate = 0.1\n"
+    )
+    flags = [
+        "--config", str(cfg_path), "--dataset", "synthetic", "--model", "mlp2",
+        "--clients", "4", "--alpha", "0.3", "--rounds", "3", "--seed", "5",
+    ]
+    for command in ("run", "compare", "partition-report"):
+        assert run_cli([command, *flags, "--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+    assert run_cli(["partition-report", *flags]) == 0
+    digests = {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*/*")
+    }
+    digests["partition-report/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_SHA256
+
+
 # --- selftest and error paths -----------------------------------------------
 
 
@@ -641,6 +681,18 @@ def test_infinite_value_names_key(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert f"ConfigError: {key}: must be finite" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_that_is_a_file_fails_before_any_round(tmp_path, monkeypatch, capsys, command):
+    def no_rounds(cfg, progress=None):
+        pytest.fail("run_experiment ran although --out cannot be made")
+
+    monkeypatch.setattr(cli, "run_experiment", no_rounds)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli([command, *SYNTH_FLAGS, "--out", str(out)]) == 2
+    assert "FileExistsError" in capsys.readouterr().err
 
 
 def test_external_config_dict_uses_external_names():
