@@ -38,6 +38,11 @@ from .prototypes import (
     aggregate_global_prototypes,
     compute_local_prototypes,
 )
+from . import data, evaluation, federation, nn, prototypes
+
+# nn._fork_map keeps all work in the calling process once a program
+# rebinds one of these modules' public functions.
+nn._record_bindings([data, evaluation, federation, nn, prototypes])
 
 __all__ = [
     "BatchLossReport",

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionError, EmptyPrototypesError
-from .nn import ModelParams, model_forward
+from .nn import ModelParams, _fork_map, model_forward
 from .prototypes import GlobalPrototypeSet
 
 _EVAL_CHUNK = 512
@@ -70,22 +70,26 @@ def evaluate_accuracy(
     if want_proto and (protos is None or not len(protos)):
         raise EmptyPrototypesError("prototype inference requested but no prototypes given")
 
-    preds_softmax = [] if want_softmax else None
-    preds_proto = [] if want_proto else None
-    for start in range(0, len(testset), chunk):
+    def predict(start):
         # one shared forward pass feeds both inference paths
         emb, logits = model_forward(params, testset.images[start : start + chunk])
-        if want_softmax:
-            preds_softmax.append(np.argmax(logits, axis=1))
-        if want_proto:
-            preds_proto.append(_nearest_class(emb, protos.classes, protos.vectors))
+        return (
+            np.argmax(logits, axis=1) if want_softmax else None,
+            _nearest_class(emb, protos.classes, protos.vectors) if want_proto else None,
+        )
 
-    def score(preds):
-        if preds is None:
+    # Each chunk is a task of its own: its predictions do not depend on
+    # which process runs it.
+    starts = range(0, len(testset), chunk)
+    preds = _fork_map(predict, starts, [min(chunk, len(testset) - start) for start in starts])
+
+    def score(column: int, wanted: bool):
+        if not wanted:
             return None
-        return tally_predictions(np.concatenate(preds), testset.labels, testset.num_classes) / len(testset)
+        predictions = np.concatenate([p[column] for p in preds])
+        return tally_predictions(predictions, testset.labels, testset.num_classes) / len(testset)
 
-    return EvalReport(score(preds_softmax), score(preds_proto))
+    return EvalReport(score(0, want_softmax), score(1, want_proto))
 
 
 def last_k_mean(records, k: int, field: str) -> float:

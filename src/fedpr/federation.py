@@ -24,6 +24,7 @@ from .evaluation import EVAL_MODES, evaluate_accuracy
 from .nn import (
     ModelParams,
     OptimizerState,
+    _fork_map,
     build_cnn4,
     build_mlp2,
     loss_and_grad,
@@ -251,21 +252,29 @@ def run_round(
     """One synchronous round against a fixed (params, prototypes) snapshot.
 
     All clients see the same inputs; aggregation happens once, after the
-    last client finishes. Clients run and are aggregated in client-id
-    order, whatever the order of ``clients``, so the outcome does not
-    depend on it. Clients with empty shards are skipped.
+    last client finishes. The clients train in forked helper processes
+    (nn._fork_map), but they are aggregated in client-id order, whatever
+    the order of ``clients``, so the outcome depends on neither. Clients
+    with empty shards are skipped.
     """
     active = sorted((state for state in clients if len(state.shard)), key=lambda state: state.client_id)
     if not active:
         raise ValueError("no client has any data; nothing to aggregate")
-    updates, local_protos, losses = [], [], []
-    for state in active:
+
+    def train(state):
         params_i, protos_i, loss_i = client_local_update(
             state, global_params, global_protos, cfg, train_data, round_index
         )
-        updates.append((params_i, float(len(state.shard))))
-        local_protos.append(protos_i)
-        losses.append(loss_i)
+        return params_i.vector, protos_i, loss_i
+
+    results = _fork_map(train, active, [len(state.shard) for state in active])
+    layers, boundary = global_params.layers, global_params.extractor_boundary
+    updates = [
+        (ModelParams(layers, boundary, vector), float(len(state.shard)))
+        for state, (vector, _, _) in zip(active, results)
+    ]
+    local_protos = [protos_i for _, protos_i, _ in results]
+    losses = [loss_i for _, _, loss_i in results]
 
     new_params = server_weighted_average(updates)
     if cfg.strategy == "fedpr":

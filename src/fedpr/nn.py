@@ -9,12 +9,13 @@ implements its own backward pass.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import types
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -421,6 +422,136 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# _fork_map forks only on Linux, where it was verified. Elsewhere it is
+# the serial loop: on macOS, for one, system libraries may run threads
+# that a fork without exec leaves in an undefined state.
+_CAN_FORK = hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create")
+
+# True in a helper process of _fork_map, which then runs everything serially.
+_IN_HELPER = False
+
+# (namespace, name, function) for each public fedpr function as a fedpr
+# module bound it at import; fedpr/__init__.py records them.
+_BINDINGS: list = []
+
+
+def _record_bindings(modules) -> None:
+    for module in modules:
+        namespace = vars(module)
+        for name, value in namespace.items():
+            if (
+                isinstance(value, types.FunctionType)
+                and not name.startswith("_")
+                and value.__module__.startswith(__package__ + ".")
+            ):
+                _BINDINGS.append((namespace, name, value))
+
+
+def _bindings_replaced() -> bool:
+    """Whether a program has rebound one of fedpr's public functions in a
+    fedpr module, as a tracer or a test double does. The replacement's
+    side effects (counts, timings, records) live in the process that
+    calls it, so _fork_map then keeps every call in the caller."""
+    return any(namespace.get(name) is not fn for namespace, name, fn in _BINDINGS)
+
+
+def _fork_map(fn: Callable, items: Sequence, costs: Sequence[float]) -> list:
+    """[fn(item) for item in items], shared by one forked helper process per
+    usable CPU, at most one per item.
+
+    Items are dealt longest first, by ``costs``, each to the helper with
+    the least cost so far. Each helper runs its share in item order,
+    stops at its first exception, and writes its results, or that
+    exception, to a memory file of its own before it exits. The caller
+    runs no share and waits for every helper before it reads any file,
+    so it writes no memory that a live helper shares and takes no
+    copy-on-write fault. Results come back in item order. The exception
+    raised is that of the lowest failing item, the one a serial loop
+    would raise. Helpers are reaped on every path, and killed first if
+    the caller is interrupted. With one usable CPU, inside a helper, off
+    Linux, or once a public function is rebound (_bindings_replaced),
+    this is the serial loop.
+    """
+    serial = _IN_HELPER or not _CAN_FORK or _bindings_replaced()
+    processes = 1 if serial else min(_usable_cpus(), len(items))
+    if processes <= 1:
+        return [fn(item) for item in items]
+    shares, loads = [[] for _ in range(processes)], [0.0] * processes
+    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
+        p = loads.index(min(loads))
+        shares[p].append(i)
+        loads[p] += costs[i]
+    files, pids, statuses = [], [], []
+    try:
+        try:
+            for share in shares:
+                files.append(open(os.memfd_create("fedpr-fork-map"), "w+b"))
+                # Ctrl-C waits until the fork is recorded on both sides: its
+                # KeyboardInterrupt would be lost in an at-fork handler, or
+                # run the caller's code in the helper.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _helper(fn, items, sorted(share), files[-1], mask)
+                    pids.append(pid)
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for pid in pids:
+                statuses.append(os.waitpid(pid, 0)[1])
+        except BaseException:
+            for pid in pids[len(statuses) :]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+        results, failures = {}, []
+        for pid, status, out in zip(pids, statuses, files):
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise RuntimeError(f"helper process {pid} ended (wait status {status}) before writing its results")
+            out.seek(0)
+            share_results, failure = pickle.load(out)
+            results.update(share_results)
+            if failure is not None:
+                failures.append(failure)
+    finally:
+        for out in files:
+            out.close()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [results[i] for i in range(len(items))]
+
+
+def _run_share(fn: Callable, items: Sequence, share: list[int]):
+    """({index: fn(items[index])} over ``share`` in order, (index, exception)
+    of the first failure or None)."""
+    results = {}
+    for i in share:
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _helper(fn: Callable, items: Sequence, share: list[int], out, mask) -> None:
+    """A forked helper's whole life: restore the caller's signal mask, run
+    its share, pickle the outcome into its memory file, and leave through
+    os._exit, so nothing of the caller's process (atexit handlers,
+    buffered output, the caller's own frames) runs twice."""
+    global _IN_HELPER
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        _IN_HELPER = True
+        # Protocol 5 writes each array's bytes once, and the caller
+        # rebuilds the array on the buffer it reads them into.
+        pickle.dump(_run_share(fn, items, share), out, protocol=5)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _pin_blas_threads() -> bool:
     """Run numpy's bundled OpenBLAS on one thread; returns whether it took.
 
@@ -445,10 +576,6 @@ def _pin_blas_threads() -> bool:
 
 
 _BLAS_PINNED = _pin_blas_threads()
-
-# Threads that share the conv blocks of one forward-only pass. Each block
-# computes the same values on any thread, so results do not depend on it.
-_CONV_WORKERS = _usable_cpus()
 
 
 def _conv_pool_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
@@ -526,34 +653,13 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
 
 
 def _conv_blocks_forward(params: ModelParams, a: np.ndarray, stop: int):
-    """Forward-only layers[:stop] over blocks of _CONV_BLOCK samples.
-
-    The blocks are split into one contiguous run per worker thread; the
-    outputs come back in block order. An empty batch is one empty block.
-    Returns (activation, embedding or None) like _layers_forward.
-    """
-    starts = range(0, max(a.shape[0], 1), _CONV_BLOCK)
-
-    def run(first: int, last: int):
-        return [
-            _layers_forward(params, a[i : i + _CONV_BLOCK], 0, stop, None)
-            for i in starts[first:last]
-        ]
-
-    workers = min(_CONV_WORKERS, len(starts))
-    if workers > 1:
-        bounds = [len(starts) * w // workers for w in range(workers + 1)]
-        # A pool per call: one kept in a module global would not survive
-        # a fork. Each task runs in a copy of the caller's context, which
-        # carries the numpy error state (np.errstate) into the thread.
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run, run, first, last)
-                for first, last in zip(bounds, bounds[1:])
-            ]
-            blocks = [block for future in futures for block in future.result()]
-    else:
-        blocks = run(0, len(starts))
+    """Forward-only layers[:stop] over blocks of _CONV_BLOCK samples, joined
+    in block order; an empty batch is one empty block. Returns
+    (activation, embedding or None) like _layers_forward."""
+    blocks = [
+        _layers_forward(params, a[i : i + _CONV_BLOCK], 0, stop, None)
+        for i in range(0, max(a.shape[0], 1), _CONV_BLOCK)
+    ]
     out = np.concatenate([block for block, _ in blocks])
     emb = None if blocks[0][1] is None else np.concatenate([e for _, e in blocks])
     return out, emb
@@ -574,7 +680,7 @@ def model_forward(params: ModelParams, batch: np.ndarray):
     """Forward-only pass returning (embeddings, logits): the training
     forward's values without routing masks or retained intermediates.
     Conv+pool layers pool before their bias and ReLU, and the leading conv
-    layers run in blocks of _CONV_BLOCK samples on _CONV_WORKERS threads.
+    layers run in blocks of _CONV_BLOCK samples.
     """
     a = _model_input(batch)
     stop = 0

@@ -1,7 +1,7 @@
 """The golden runs' raw float64 state must not depend on the BLAS thread count.
 
-Forward-only conv blocks run on a thread pool next to BLAS's own threads,
-so the configurations of test_golden.py, plus its mlp2 run at the 784-d
+OpenBLAS reads its thread count when numpy loads, so the
+configurations of test_golden.py, plus its mlp2 run at the 784-d
 stand-in's width, run in child processes under OPENBLAS_NUM_THREADS=1 and
 =2, and each must give the same state hash under both. fedpr pins numpy's
 OpenBLAS to one thread at import; only where that pin cannot take do two

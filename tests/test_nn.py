@@ -413,11 +413,10 @@ def test_model_forward_bitwise_deterministic():
     assert np.array_equal(emb1, emb2) and np.array_equal(logits1, logits2)
 
 
-# Threads sharing the conv blocks: serial, two, an uneven split, and more
-# threads than any batch below has blocks (the pool is capped at one
-# thread per block). Set in the tests, so a one-CPU runner takes the pool
-# path too.
-WORKER_COUNTS = (1, 2, 3, 200)
+# Processes sharing an evaluation's chunks: serial, two, an uneven split,
+# and more processes than any call below has chunks. Set through
+# _usable_cpus, so a one-CPU runner takes the forking path too.
+PROCESS_COUNTS = (1, 2, 3, 200)
 
 
 def same_bits(a, b) -> bool:
@@ -426,7 +425,7 @@ def same_bits(a, b) -> bool:
 
 def cached_forward(params, x):
     """The training path's forward: whole-batch convs, bias and ReLU before
-    the pool, no threads."""
+    the pool."""
     emb, logits, _ = _forward_cached(params, x)
     return emb, logits
 
@@ -435,18 +434,16 @@ def cached_forward(params, x):
     "batch",
     sorted({1, max(1, _CONV_BLOCK - 1), _CONV_BLOCK, _CONV_BLOCK + 1, 17, 256, 257, 512, 1000}),
 )
-def test_model_forward_matches_cached_forward_bitwise_cnn4(batch, monkeypatch):
+def test_model_forward_matches_cached_forward_bitwise_cnn4(batch):
     # model_forward pools before bias and ReLU and runs the convs in
-    # blocks on a thread pool; training runs them whole.
+    # blocks; training runs them whole.
     rng = np.random.default_rng(23)
     params = build_cnn4(rng)
     x = rng.random((batch, 1, 28, 28))
     cached_emb, cached_logits = cached_forward(params, x)
-    for workers in WORKER_COUNTS:
-        monkeypatch.setattr(nn, "_CONV_WORKERS", workers)
-        emb, logits = model_forward(params, x)
-        assert same_bits(emb, cached_emb), workers
-        assert same_bits(logits, cached_logits), workers
+    emb, logits = model_forward(params, x)
+    assert same_bits(emb, cached_emb)
+    assert same_bits(logits, cached_logits)
 
 
 @pytest.mark.parametrize("n", [9, 17, 257, 1000])
@@ -455,20 +452,21 @@ def test_prototypes_and_evaluation_match_cached_forward_bitwise(n, monkeypatch):
     params = build_cnn4(rng)
     dataset = Dataset(rng.random((n, 1, 28, 28)), rng.integers(0, 10, size=n), 10)
     shard = ClientShard(0, rng.permutation(n))
+    chunks = (evaluation._EVAL_CHUNK, 7)  # one or two chunks, and many
     with monkeypatch.context() as patch:
         patch.setattr(prototypes, "model_forward", cached_forward)
         patch.setattr(evaluation, "model_forward", cached_forward)
         want_protos = compute_local_prototypes(params, dataset, shard)
         global_protos = aggregate_global_prototypes([want_protos])
-        want_report = evaluate_accuracy(params, global_protos, dataset, "both")
-    for workers in WORKER_COUNTS:
-        monkeypatch.setattr(nn, "_CONV_WORKERS", workers)
+        want_reports = [evaluate_accuracy(params, global_protos, dataset, "both", c) for c in chunks]
+    for processes in PROCESS_COUNTS:
+        monkeypatch.setattr(nn, "_usable_cpus", lambda: processes)
         got = compute_local_prototypes(params, dataset, shard)
-        assert same_bits(got.classes, want_protos.classes), workers
-        assert same_bits(got.support, want_protos.support), workers
-        assert same_bits(got.vectors, want_protos.vectors), workers
-        report = evaluate_accuracy(params, global_protos, dataset, "both")
-        assert report == want_report, workers
+        assert same_bits(got.classes, want_protos.classes), processes
+        assert same_bits(got.support, want_protos.support), processes
+        assert same_bits(got.vectors, want_protos.vectors), processes
+        reports = [evaluate_accuracy(params, global_protos, dataset, "both", c) for c in chunks]
+        assert reports == want_reports, processes
 
 
 def unit_conv_model(bias):
@@ -516,26 +514,39 @@ def test_pool_before_bias_matches_cached_path_bitwise(bias, monkeypatch):
     params = unit_conv_model(bias)
     for batch in (2, _CONV_BLOCK + 3):
         x = special_pool_input(rng, batch)
+        data = Dataset(x, np.arange(batch) % 2, 2)
+        protos = GlobalPrototypeSet.from_vectors({0: np.zeros(36), 1: np.ones(36)})
         with np.errstate(all="ignore"):
             cached_emb, cached_logits = cached_forward(params, x)
-            for workers in (1, 2):
-                monkeypatch.setattr(nn, "_CONV_WORKERS", workers)
-                emb, logits = model_forward(params, x)
-                assert same_bits(emb, cached_emb), (batch, workers)
-                assert same_bits(logits, cached_logits), (batch, workers)
+            emb, logits = model_forward(params, x)
+            assert same_bits(emb, cached_emb), batch
+            assert same_bits(logits, cached_logits), batch
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation, "model_forward", cached_forward)
+                want = evaluate_accuracy(params, protos, data, "both", chunk=4)
+            for processes in (1, 2):
+                monkeypatch.setattr(nn, "_usable_cpus", lambda: processes)
+                got = evaluate_accuracy(params, protos, data, "both", chunk=4)
+                assert got == want, (batch, processes)
 
 
-def test_errstate_reaches_the_conv_worker_threads(monkeypatch):
-    # The bias add overflows inside the conv blocks, on the pool's threads.
-    monkeypatch.setattr(nn, "_CONV_WORKERS", 2)
+def test_errstate_reaches_the_forked_evaluation_helper(monkeypatch):
+    # Of two equal chunks on two processes, each runs in a helper of its
+    # own, and only the second chunk's samples overflow in the bias add.
+    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
     params = unit_conv_model([1e308, 0.0, 0.0])
-    x = np.full((4 * _CONV_BLOCK, 1, 6, 8), 1.5e308)
+    x = np.zeros((4 * _CONV_BLOCK, 1, 6, 8))
+    x[2 * _CONV_BLOCK :] = 1.5e308
+    data = Dataset(x, np.zeros(len(x), dtype=np.int64), 2)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            model_forward(params, x)
+            evaluate_accuracy(params, None, data, "softmax", chunk=2 * _CONV_BLOCK)
+        # The first chunk alone is fine.
+        head = slice(0, 2 * _CONV_BLOCK)
+        evaluate_accuracy(params, None, Dataset(x[head], data.labels[head], 2), "softmax")
     with np.errstate(over="ignore"):
-        emb, _ = model_forward(params, x)
-    assert np.isposinf(emb[:, :12]).all()
+        report = evaluate_accuracy(params, None, data, "softmax", chunk=2 * _CONV_BLOCK)
+    assert report.accuracy_prototype is None and 0.0 <= report.accuracy_softmax <= 1.0
 
 
 def test_model_forward_matches_cached_forward_bitwise_mlp2():
