@@ -14,19 +14,24 @@ from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_pr
 
 def gradient_error(instances: int, seed: int) -> float:
     """Worst relative error of loss_and_grad's gradients against central
-    differences, over random small mlp2 problems with lambda in {0, 0.5, 1}."""
+    differences, over random small mlp2 problems with lambda in {0, 0.5, 1}
+    and the extractor boundary drawn from {0, 1, 2}: the embedding is the
+    input, the hidden activation or the logits."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(instances):
         in_dim = int(rng.integers(3, 11))
         hidden = int(rng.integers(4, 17))
         classes = int(rng.integers(2, 6))
-        params = build_mlp2(rng, in_dim, classes, hidden=hidden)
-        assert params.num_params <= 2000
+        mlp2 = build_mlp2(rng, in_dim, classes, hidden=hidden)
+        assert mlp2.num_params <= 2000
+        boundary = int(rng.integers(0, 3))
+        params = ModelParams(mlp2.layers, boundary, mlp2.vector)
+        dim = (in_dim, hidden, classes)[boundary]
         batch = rng.standard_normal((int(rng.integers(2, 7)), in_dim))
         labels = rng.integers(0, classes, size=len(batch))
         protos = GlobalPrototypeSet.from_vectors(
-            {c: rng.standard_normal(hidden) for c in range(classes) if rng.random() < 0.75}
+            {c: rng.standard_normal(dim) for c in range(classes) if rng.random() < 0.75}
         )
         lam = (0.0, 0.5, 1.0)[trial % 3]
         analytic = loss_and_grad(params, batch, labels, protos, lam).grads

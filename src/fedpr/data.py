@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DatasetConsistencyError, TruncatedFileError
+from .errors import DataFormatError, DatasetConsistencyError, LabelError, TruncatedFileError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -183,7 +183,7 @@ def load_idx_dataset(data_dir, dataset: str, split: str, num_classes: int = 10) 
 
 def subsample(dataset: Dataset, n: int, seed) -> Dataset:
     """Uniform sample of n items without replacement, deterministic by seed."""
-    if n > len(dataset):
+    if not 0 <= n <= len(dataset):
         raise ValueError(f"cannot subsample {n} items from dataset of {len(dataset)}")
     picked = np.random.default_rng(seed).permutation(len(dataset))[:n]
     return Dataset(dataset.images[picked], dataset.labels[picked], dataset.num_classes)
@@ -201,6 +201,9 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float, seed
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     labels = np.asarray(labels, dtype=np.int64)
+    negative = np.flatnonzero(labels < 0)
+    if negative.size:
+        raise LabelError(f"label {labels[negative[0]]} at index {negative[0]} is negative")
     num_classes = int(labels.max()) + 1 if len(labels) else 0
     rng = np.random.default_rng(seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]

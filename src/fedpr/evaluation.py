@@ -65,6 +65,8 @@ def evaluate_accuracy(
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if not len(testset):
         raise ValueError("cannot evaluate on an empty test set")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     want_softmax = mode in ("softmax", "both")
     want_proto = mode in ("prototype", "both")
     if want_proto and (protos is None or not len(protos)):

@@ -224,6 +224,9 @@ def server_weighted_average(updates: Sequence[tuple[ModelParams, float]]) -> Mod
     updates = list(updates)
     if not updates:
         raise ValueError("server_weighted_average needs at least one update")
+    for i, (_, weight) in enumerate(updates):
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"update {i} has weight {weight}; weights must be finite and non-negative")
     total = float(sum(weight for _, weight in updates))
     if total <= 0:
         raise ValueError(f"total update weight must be positive, got {total}")

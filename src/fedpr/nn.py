@@ -90,8 +90,10 @@ class ModelParams:
 
     Layers with index < ``extractor_boundary`` form the extractor; the
     activation leaving the last extractor layer (after its ReLU/pool, if
-    any) is the embedding used for prototypes. The remaining layers form
-    the decision head.
+    any), flattened per sample, is the embedding used for prototypes. The
+    remaining layers form the decision head. The boundary runs from 0,
+    where the embedding is the flattened input, to ``len(layers)``, where
+    it is the logits.
     """
 
     layers: list[LayerParams]
@@ -405,10 +407,11 @@ def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]):
 # ---------------------------------------------------------------------------
 
 
-# Forward-only passes run the leading conv layers over this many samples
-# at a time, so their im2col buffers stay cache-sized. The block does not
-# change a conv result (np.matmul runs one GEMM per sample); dense results
-# do depend on the row count, so the dense layers see the whole batch.
+# Forward-only passes run the extractor's leading conv layers over this
+# many samples at a time, so their im2col buffers stay cache-sized. The
+# block does not change a conv result (np.matmul runs one GEMM per
+# sample); dense results do depend on the row count, so the dense layers
+# see the whole batch.
 # At 8 each cnn4 cols buffer is about 1 MB. On a Xeon with 2 MB of L2 per
 # core, blocks of 4 to 12 ran the cnn4 forward equally fast, 16 slightly
 # slower, and 32 or the unblocked 512-sample chunk 1.6 to 2 times slower.
@@ -605,20 +608,19 @@ def _model_input(x: np.ndarray) -> np.ndarray:
     return a
 
 
-def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches):
-    """Run layers[lo:hi]; returns (activation, embedding or None).
+def _per_sample(a: np.ndarray) -> np.ndarray:
+    """a as [batch, features]: each sample's values flattened."""
+    return a.reshape(len(a), math.prod(a.shape[1:]))
 
-    The embedding is the activation crossing the extractor boundary when
-    that lies inside layers[lo:hi] or at their input. With a caches list,
-    appends what each layer's backward pass needs.
-    """
+
+def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches) -> np.ndarray:
+    """Run layers[lo:hi] and return their output. With a caches list,
+    appends what each layer's backward pass needs."""
     train = caches is not None
-    emb = a.reshape(len(a), math.prod(a.shape[1:])) if lo == params.extractor_boundary else None
-    for idx in range(lo, hi):
-        layer = params.layers[idx]
+    for layer in params.layers[lo:hi]:
         cache = {"input_shape": a.shape} if train else None
         if layer.kind == "dense":
-            flat = a.reshape(len(a), math.prod(a.shape[1:])) if a.ndim > 2 else a
+            flat = _per_sample(a) if a.ndim > 2 else a
             if flat.shape[1] != layer.weight.shape[1]:
                 raise DimensionError(
                     f"dense layer {layer.name!r}: weight {layer.weight.shape} does not "
@@ -647,48 +649,31 @@ def _layers_forward(params: ModelParams, a: np.ndarray, lo: int, hi: int, caches
             a = np.maximum(a, 0.0)
         if train:
             caches.append(cache)
-        if idx == params.extractor_boundary - 1:
-            emb = a.reshape(len(a), math.prod(a.shape[1:]))
-    return a, emb
-
-
-def _conv_blocks_forward(params: ModelParams, a: np.ndarray, stop: int):
-    """Forward-only layers[:stop] over blocks of _CONV_BLOCK samples, joined
-    in block order; an empty batch is one empty block. Returns
-    (activation, embedding or None) like _layers_forward."""
-    blocks = [
-        _layers_forward(params, a[i : i + _CONV_BLOCK], 0, stop, None)
-        for i in range(0, max(a.shape[0], 1), _CONV_BLOCK)
-    ]
-    out = np.concatenate([block for block, _ in blocks])
-    emb = None if blocks[0][1] is None else np.concatenate([e for _, e in blocks])
-    return out, emb
+    return a
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
-    """The training forward: returns (embeddings[batch, d], logits, caches),
-    the caches holding what each layer's backward pass needs. The
-    embedding is the activation crossing the extractor boundary, flattened
-    per sample.
-    """
-    caches = []
-    logits, emb = _layers_forward(params, _model_input(x), 0, len(params.layers), caches)
-    return emb, logits, caches
+    """The training forward: (embeddings[batch, d], logits, caches), the
+    caches holding what each layer's backward pass needs."""
+    caches, boundary = [], params.extractor_boundary
+    a = _layers_forward(params, _model_input(x), 0, boundary, caches)
+    logits = _layers_forward(params, a, boundary, len(params.layers), caches)
+    return _per_sample(a), logits, caches
 
 
 def model_forward(params: ModelParams, batch: np.ndarray):
     """Forward-only pass returning (embeddings, logits): the training
     forward's values without routing masks or retained intermediates.
-    Conv+pool layers pool before their bias and ReLU, and the leading conv
-    layers run in blocks of _CONV_BLOCK samples.
-    """
-    a = _model_input(batch)
-    stop = 0
-    while stop < len(params.layers) and params.layers[stop].kind == "conv":
-        stop += 1
-    a, emb = _conv_blocks_forward(params, a, stop) if stop else (a, None)
-    a, tail_emb = _layers_forward(params, a, stop, len(params.layers), None)
-    return emb if tail_emb is None else tail_emb, a
+    Conv+pool layers pool before their bias and ReLU, and the extractor's
+    leading conv layers run in blocks of _CONV_BLOCK samples, an empty
+    batch as one empty block."""
+    a, boundary = _model_input(batch), params.extractor_boundary
+    stop = next((i for i, layer in enumerate(params.layers[:boundary]) if layer.kind != "conv"), boundary)
+    if stop:
+        blocks = range(0, max(len(a), 1), _CONV_BLOCK)
+        a = np.concatenate([_layers_forward(params, a[i : i + _CONV_BLOCK], 0, stop, None) for i in blocks])
+    a = _layers_forward(params, a, stop, boundary, None)
+    return _per_sample(a), _layers_forward(params, a, boundary, len(params.layers), None)
 
 
 def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarray | None):
@@ -699,6 +684,10 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
     for idx in range(len(params.layers) - 1, -1, -1):
         layer, cache = params.layers[idx], caches[idx]
         d_weight, d_bias = grad_views[idx]
+        if idx == params.extractor_boundary - 1 and d_emb is not None:
+            # d is the gradient w.r.t. this layer's output, the embedding: the
+            # prototype term joins here and flows through the extractor only.
+            d = d + d_emb.reshape(d.shape)
         # The gradient w.r.t. the raw input is never consumed, so the
         # first layer skips it.
         need_dx = idx > 0
@@ -718,10 +707,6 @@ def _backward(params: ModelParams, caches, dlogits: np.ndarray, d_emb: np.ndarra
             d_weight[...], d_bias[...], d = _conv2d_backward(
                 d, cache["cols"], cache["input_shape"], layer.weight, need_dx
             )
-        if idx == params.extractor_boundary and d_emb is not None and d is not None:
-            # d is now the gradient w.r.t. the embedding; the prototype
-            # term joins here and flows through the extractor only.
-            d = d + d_emb.reshape(d.shape)
     return grads
 
 

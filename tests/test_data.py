@@ -23,7 +23,7 @@ from fedpr.data import (
     write_idx_images,
     write_idx_labels,
 )
-from fedpr.errors import DataFormatError, DatasetConsistencyError, TruncatedFileError
+from fedpr.errors import DataFormatError, DatasetConsistencyError, LabelError, TruncatedFileError
 
 DATA_DIR = os.environ.get("FEDPR_DATA_DIR", "data")
 
@@ -230,6 +230,8 @@ def test_subsample_too_large_rejected():
     ds = Dataset(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), 1)
     with pytest.raises(ValueError, match="subsample"):
         subsample(ds, 6, seed=0)
+    with pytest.raises(ValueError, match="cannot subsample -1 items"):
+        subsample(ds, -1, seed=0)
 
 
 def test_subsample_class_proportions_track_parent():
@@ -326,6 +328,9 @@ def test_partition_invalid_args():
         dirichlet_partition(labels, 0, 0.5, seed=0)
     with pytest.raises(ValueError, match="alpha"):
         dirichlet_partition(labels, 2, 0.0, seed=0)
+    # A negative label belongs to no class, so its sample would be left out.
+    with pytest.raises(LabelError, match="label -1 at index 0 is negative"):
+        dirichlet_partition(np.array([-1, 0, 1]), 2, 0.5, seed=0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -184,6 +184,13 @@ def test_evaluate_invalid_mode_and_empty_testset():
         evaluate_accuracy(passthrough_model(3), None, empty, mode="softmax")
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_evaluate_rejects_chunk_below_one(chunk):
+    ds = Dataset(np.zeros((2, 3)), np.zeros(2, dtype=np.int64), 1)
+    with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
+        evaluate_accuracy(passthrough_model(3), None, ds, mode="softmax", chunk=chunk)
+
+
 def test_evaluate_model_class_mismatch_is_structured_error():
     # 5 logits against a 3-class dataset must not crash with a raw index error
     ds = synthetic_blobs(3, 5, per_class=4, spread=0.2, seed=9)

@@ -140,6 +140,11 @@ def test_average_rejects_empty_and_zero_weight():
         server_weighted_average([])
     with pytest.raises(ValueError, match="weight"):
         server_weighted_average([(scalar_params(1.0), 0.0)])
+    # A NaN weight would average to an all-NaN model, and a negative one
+    # would pass the positive total.
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=f"update 1 has weight {bad}; weights must be finite and non-negative"):
+            server_weighted_average([(scalar_params(1.0), 3.0), (scalar_params(2.0), bad)])
 
 
 # --- client local update ----------------------------------------------------

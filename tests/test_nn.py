@@ -435,15 +435,18 @@ def cached_forward(params, x):
     sorted({1, max(1, _CONV_BLOCK - 1), _CONV_BLOCK, _CONV_BLOCK + 1, 17, 256, 257, 512, 1000}),
 )
 def test_model_forward_matches_cached_forward_bitwise_cnn4(batch):
-    # model_forward pools before bias and ReLU and runs the convs in
-    # blocks; training runs them whole.
+    # model_forward pools before bias and ReLU and runs the convs before
+    # the extractor boundary in blocks; training runs them whole. Every
+    # boundary moves where the blocks stop and where the embedding is taken.
     rng = np.random.default_rng(23)
-    params = build_cnn4(rng)
+    cnn4 = build_cnn4(rng)
     x = rng.random((batch, 1, 28, 28))
-    cached_emb, cached_logits = cached_forward(params, x)
-    emb, logits = model_forward(params, x)
-    assert same_bits(emb, cached_emb)
-    assert same_bits(logits, cached_logits)
+    for boundary in range(len(cnn4.layers) + 1):
+        params = ModelParams(cnn4.layers, boundary, cnn4.vector)
+        cached_emb, cached_logits = cached_forward(params, x)
+        emb, logits = model_forward(params, x)
+        assert same_bits(emb, cached_emb), boundary
+        assert same_bits(logits, cached_logits), boundary
 
 
 @pytest.mark.parametrize("n", [9, 17, 257, 1000])
@@ -650,6 +653,34 @@ def test_loss_gradient_unsquared_form_matches_finite_difference():
     fd = finite_diff_gradient(
         lambda p: loss_and_grad(p, x, y, protos, 1.0, "unsquared").total_loss, params, eps=1e-5
     )
+    assert max_rel_err(report.grads, fd) < 1e-4
+
+
+def small_model(name, rng):
+    if name == "mlp2":
+        return build_mlp2(rng, 4, 3, hidden=6), rng.normal(size=(3, 4))
+    cnn4 = build_cnn4(rng, num_classes=3, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
+    return cnn4, rng.normal(size=(3, 1, 14, 14)) * 0.5
+
+
+@pytest.mark.parametrize("proto_form", ["squared", "unsquared"])
+@pytest.mark.parametrize(
+    "model, boundary", [("mlp2", b) for b in range(3)] + [("cnn4", b) for b in range(5)]
+)
+def test_loss_gradient_matches_finite_difference_at_every_boundary(model, boundary, proto_form):
+    # From the flattened input (0) to the logits (len(layers)): the
+    # prototype term reaches every extractor layer, whichever it is.
+    rng = np.random.default_rng(100 + boundary)
+    built, x = small_model(model, rng)
+    params = ModelParams(built.layers, boundary, built.vector)
+    y = np.array([0, 2, 1])
+    emb, _, _ = _forward_cached(params, x)
+    protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=emb.shape[1]) for c in range(3)})
+    report = loss_and_grad(params, x, y, protos, 0.5, proto_form)
+    fd = finite_diff_gradient(
+        lambda p: loss_and_grad(p, x, y, protos, 0.5, proto_form).total_loss, params, eps=1e-5
+    )
+    assert report.proto_loss > 0
     assert max_rel_err(report.grads, fd) < 1e-4
 
 
