@@ -7,9 +7,12 @@ from __future__ import annotations
 import numpy as np
 
 from .data import class_counts, dirichlet_partition
-from .federation import FederationConfig, run_experiment, server_weighted_average
+from .federation import FEDAVG_VALUES, FederationConfig, run_experiment, server_weighted_average
 from .nn import LayerParams, ModelParams, build_mlp2, finite_diff_gradient, loss_and_grad
 from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_prototypes
+
+GRADIENT_BOUND = 1e-4  # gradient_error passes below it
+AGGREGATION_BOUND = 1e-12  # aggregation_error passes at or below it
 
 
 def gradient_error(instances: int, seed: int) -> float:
@@ -85,7 +88,7 @@ def fedavg_mismatch(runs: int, seed: int) -> str | None:
             dirichlet_alpha=float(meta_rng.choice([0.1, 0.5, 2.0])), master_seed=run,
             dataset="synthetic", model="mlp2", subsample_n=100, synth_classes=4, synth_dim=10,
             synth_per_class=30, synth_test_per_class=10,
-            strategy="fedavg", lam=0.0, eval_inference="softmax",
+            strategy="fedavg", **FEDAVG_VALUES,
         )
         rec_avg = run_experiment(cfg)
         rec_pr0 = run_experiment(cfg.replace(strategy="fedpr"))

@@ -25,6 +25,17 @@ IDX_LABEL_MAGIC = 0x00000801
 _ANCHOR_TAG = 0x5EED
 
 
+def _int64(values, name: str) -> np.ndarray:
+    """values as int64. Integer arrays pass unchecked; a float that is not a
+    whole number raises DataFormatError naming its index, not truncated."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        bad = np.flatnonzero((values != np.trunc(values)) | np.isinf(values))
+        if bad.size:
+            raise DataFormatError(f"{name}[{bad[0]}] = {values.flat[bad[0]]} is not an integer")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class Dataset:
     """Images (float64, [n,1,H,W] or [n,dim]) with integer class labels."""
@@ -35,7 +46,7 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int64(self.labels, "labels")
         if self.labels.ndim != 1 or len(self.images) != len(self.labels):
             raise DatasetConsistencyError(
                 f"{len(self.images)} images but {len(self.labels)} labels"
@@ -58,7 +69,7 @@ class ClientShard:
     indices: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.indices = _int64(self.indices, "indices")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -200,7 +211,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float, seed
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64(labels, "labels")
     negative = np.flatnonzero(labels < 0)
     if negative.size:
         raise LabelError(f"label {labels[negative[0]]} at index {negative[0]} is negative")
@@ -239,7 +250,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def class_counts(shards, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """[N, C] matrix of per-client per-class sample counts."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64(labels, "labels")
     counts = np.zeros((len(shards), num_classes), dtype=np.int64)
     for row, shard in enumerate(shards):
         np.add.at(counts[row], labels[shard.indices], 1)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _int64
 from .errors import DimensionError, EmptyPrototypesError
 from .nn import ModelParams, _fork_map, model_forward
 from .prototypes import GlobalPrototypeSet
@@ -36,8 +36,8 @@ def _nearest_class(emb: np.ndarray, classes: np.ndarray, vectors: np.ndarray) ->
 
 def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> int:
     """Number of predictions equal to their label."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    predictions = _int64(predictions, "predictions")
+    labels = _int64(labels, "labels")
     for name, values in (("prediction", predictions), ("label", labels)):
         if len(values) and (values.min() < 0 or values.max() >= num_classes):
             raise DimensionError(

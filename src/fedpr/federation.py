@@ -107,6 +107,13 @@ def _fedavg_forces(value, text: str):
     return (lambda v, c: c.strategy != "fedavg" or v == value), text
 
 
+# What strategy=fedavg forces (FedPR with the prototype terms off), with the message for other values.
+_FEDAVG_FORCES = {
+    "lam": (0.0, "strategy=fedavg forces lambda=0"),
+    "eval_inference": ("softmax", "fedavg produces no prototypes; only softmax inference is available"),
+}
+FEDAVG_VALUES = {field: value for field, (value, _) in _FEDAVG_FORCES.items()}
+
 _COUNT = _at_least(1)
 _POSITIVE = (lambda v, c: 0 < v < math.inf), "must be finite and > 0, got {}"
 _NON_NEGATIVE = (lambda v, c: 0 <= v < math.inf), "must be finite and >= 0, got {}"
@@ -129,8 +136,7 @@ _RULES = (
     ("agg_denominator", _one_of(AGG_DENOMINATORS)),
     ("proto_loss_form", _one_of(PROTO_LOSS_FORMS)),
     ("eval_inference", _one_of(EVAL_MODES)),
-    ("lam", _fedavg_forces(0.0, "strategy=fedavg forces lambda=0")),
-    ("eval_inference", _fedavg_forces("softmax", "fedavg produces no prototypes; only softmax inference is available")),
+    *((field, _fedavg_forces(*forced)) for field, forced in _FEDAVG_FORCES.items()),
     ("synth_classes", _at_least(2)),
     ("synth_dim", _COUNT),
     ("synth_per_class", _COUNT),
@@ -293,8 +299,7 @@ def run_round(
     total_weight = sum(weight for _, weight in updates)
     mean_train_loss = sum((weight / total_weight) * loss for (_, weight), loss in zip(updates, losses))
 
-    mode = cfg.eval_inference if len(new_protos) else "softmax"
-    report = evaluate_accuracy(new_params, new_protos, test_data, mode)
+    report = evaluate_accuracy(new_params, new_protos, test_data, cfg.eval_inference)
     record = RoundRecord(round_index, mean_train_loss, report.accuracy_softmax, report.accuracy_prototype)
     return new_params, new_protos, record
 

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .data import _int64
 from .errors import DimensionError, LabelError, NumericError
 
 log = logging.getLogger(__name__)
@@ -378,7 +379,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]):
     Returns (loss, dlogits) where dlogits = (softmax - onehot) / batch.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64(labels, "labels")
     if logits.ndim != 2:
         raise DimensionError(f"logits must be [batch, classes], got {logits.shape}")
     if labels.shape != (logits.shape[0],):
@@ -419,10 +420,7 @@ _CONV_BLOCK = 8
 
 
 def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))  # called only where _CAN_FORK holds
 
 
 # _fork_map forks only on Linux, where it was verified. Elsewhere it is
@@ -774,7 +772,7 @@ def loss_and_grad(
         raise ValueError(f"lam must be non-negative, got {lam}")
     if proto_form not in ("squared", "unsquared"):
         raise ValueError(f"unknown proto_form {proto_form!r}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int64(labels, "labels")
     emb, logits, caches = _forward_cached(params, batch)
     ce_loss, dlogits = softmax_cross_entropy(logits, labels)
 

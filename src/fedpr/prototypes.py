@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClientShard, Dataset
+from .data import ClientShard, Dataset, _int64
 from .errors import DataFormatError, DimensionError
 from .nn import ModelParams, model_forward
 
@@ -99,8 +99,8 @@ def _prototype_arrays(classes, vectors, counts, counted: str):
     float64 [k, d] matrix and int64 counts >= 1. A vector of the wrong
     length raises DimensionError naming its class. A non-empty float64
     matrix, as compute_local_prototypes returns, is checked whole."""
-    classes = np.asarray(classes, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
+    classes = _int64(classes, "classes")
+    counts = _int64(counts, counted)
     whole = isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.dtype == np.float64 and len(vectors)
     rows = vectors if whole else [np.asarray(v, dtype=np.float64) for v in vectors]
     if classes.shape != (len(rows),) or counts.shape != (len(rows),):

@@ -117,6 +117,10 @@ def backward(params, caches, dlogits, d_emb):
     for idx in range(len(params.layers) - 1, -1, -1):
         layer, cache = params.layers[idx], caches[idx]
         d_weight, d_bias = grad_views[idx]
+        if idx == params.extractor_boundary - 1 and d_emb is not None:
+            # d is the gradient w.r.t. the embedding, this layer's output;
+            # at extractor_boundary == len(layers) that is the logits.
+            d = d + d_emb.reshape(d.shape)
         need_dx = idx > 0
         if layer.pool:
             d = maxpool2_backward(d, cache["pool_arg"], cache["pool_in_shape"])
@@ -130,8 +134,6 @@ def backward(params, caches, dlogits, d_emb):
             d_weight[...], d_bias[...], d = conv2d_backward(
                 d, cache["cols"], cache["input_shape"], layer.weight, need_dx
             )
-        if idx == params.extractor_boundary and d_emb is not None and d is not None:
-            d = d + d_emb.reshape(d.shape)
     return grads
 
 

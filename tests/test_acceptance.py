@@ -88,8 +88,9 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - start
     check(
         1,
-        worst < 1e-4 and elapsed < 30.0,
-        f"50 instances, max relative gradient error {worst:.2e} (< 1e-4), {elapsed:.1f}s (< 30s)",
+        worst < checks.GRADIENT_BOUND and elapsed < 30.0,
+        f"50 instances, max relative gradient error {worst:.2e} (< {checks.GRADIENT_BOUND:.0e}), "
+        f"{elapsed:.1f}s (< 30s)",
     )
 
 
@@ -110,8 +111,9 @@ def test_criterion_3_aggregation_oracles():
     elapsed = time.perf_counter() - start
     check(
         3,
-        worst <= 1e-12 and elapsed < 5.0,
-        f"100 instances, max deviation from brute force {worst:.2e} (<= 1e-12), {elapsed:.1f}s (< 5s)",
+        worst <= checks.AGGREGATION_BOUND and elapsed < 5.0,
+        f"100 instances, max deviation from brute force {worst:.2e} "
+        f"(<= {checks.AGGREGATION_BOUND:.0e}), {elapsed:.1f}s (< 5s)",
     )
 
 

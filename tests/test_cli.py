@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedpr import checks, cli, data
+from fedpr import checks, cli
 from fedpr.cli import (
     build_artifact,
     config_external_dict,
@@ -129,6 +130,43 @@ def test_fedavg_defaults_coerce_lambda_and_eval():
 def test_out_of_range_value_names_key():
     with pytest.raises(ConfigError, match="rounds"):
         parse_config(None, {"rounds": 0})
+
+
+def test_every_config_default_has_its_annotated_type():
+    # A config file's value is parsed into the type of its field's default,
+    # so a float field needs a float default (0.0, not 0).
+    for field in dataclasses.fields(FederationConfig):
+        assert type(field.default).__name__ == field.type, field.name
+
+
+@pytest.mark.parametrize("raw,value", [
+    ("true", True), ("1", True), ("Yes", True), ("false", False), ("0", False), ("NO", False),
+])
+def test_config_file_bool_spellings(tmp_path, raw, value):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"support_weighted_protos = {raw}\n")
+    assert parse_config(path).support_weighted_protos is value
+
+
+# Named errors of the config and CSV readers, each with the file text
+# that raises it and the message after the path.
+READER_ERRORS = [
+    pytest.param(parse_config, "support_weighted_protos = maybe\n",
+                 ":1: support_weighted_protos: cannot parse 'maybe' as a boolean", id="config-bool"),
+    pytest.param(read_round_csv, "round,mean_train_loss,acc_softmax,acc_prototype\n1,0.5,0.25\n",
+                 ": malformed row '1,0.5,0.25'", id="csv-short-row"),
+    pytest.param(read_round_csv, "round,mean_train_loss,acc_softmax,acc_prototype\n1,0.5,0.25,,\n",
+                 ": malformed row '1,0.5,0.25,,'", id="csv-long-row"),
+]
+
+
+@pytest.mark.parametrize("read,text,message", READER_ERRORS)
+def test_each_reader_error_names_the_file(tmp_path, read, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        read(path)
+    assert str(info.value) == f"{path}{message}"
 
 
 # --- the config contract: each rule's exact message and their order ---------
@@ -462,20 +500,6 @@ def test_run_cnn4_on_32_dim_synthetic_names_cnn4(tmp_path, capsys):
     rc = run_cli(["run", "--dataset", "synthetic", "--rounds", "1", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "ConfigError: model: cnn4" in capsys.readouterr().err
-
-
-def test_partition_report_rejects_a_partition_that_is_not_a_cover(monkeypatch, capsys):
-    partition = data.dirichlet_partition
-
-    def drop_one_sample(*args, **kwargs):
-        shards = partition(*args, **kwargs)
-        shards[0].indices = shards[0].indices[1:]
-        return shards
-
-    monkeypatch.setattr(data, "dirichlet_partition", drop_one_sample)
-    rc = run_cli(["partition-report", "--dataset", "synthetic", "--clients", "1"])
-    assert rc == 2
-    assert "DatasetConsistencyError: partition counts" in capsys.readouterr().err
 
 
 def test_partition_report_matches_direct_partition(tmp_path):

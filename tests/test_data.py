@@ -24,8 +24,42 @@ from fedpr.data import (
     write_idx_labels,
 )
 from fedpr.errors import DataFormatError, DatasetConsistencyError, LabelError, TruncatedFileError
+from fedpr.evaluation import tally_predictions
+from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes
 
 DATA_DIR = os.environ.get("FEDPR_DATA_DIR", "data")
+
+# Labels, indices and classes that are not whole numbers fail by name instead of
+# being truncated; each call names the first bad position.
+NOT_INTEGER = [
+    pytest.param(lambda: Dataset(np.zeros((3, 2)), [0.5, 1.7, 2.2], 3), r"labels\[0\] = 0.5", id="dataset-labels"),
+    pytest.param(lambda: ClientShard(0, [0.0, 1.5]), r"indices\[1\] = 1.5", id="shard-indices"),
+    pytest.param(lambda: ClientShard(0, [0, np.inf]), r"indices\[1\] = inf", id="shard-infinite-index"),
+    pytest.param(lambda: ClientShard(0, [np.nan]), r"indices\[0\] = nan", id="shard-nan-index"),
+    pytest.param(lambda: dirichlet_partition([0, 1, 2.5], 2, 1.0, seed=0), r"labels\[2\] = 2.5",
+                 id="partition-labels"),
+    pytest.param(lambda: class_counts([ClientShard(0, [0, 1])], [0.5, 1.0], 2), r"labels\[0\] = 0.5",
+                 id="class-count-labels"),
+    pytest.param(lambda: tally_predictions([0, 1.5], [0, 1], 2), r"predictions\[1\] = 1.5",
+                 id="tally-predictions"),
+    pytest.param(lambda: GlobalPrototypeSet([0.5], [[1.0]], [1]), r"classes\[0\] = 0.5",
+                 id="prototype-classes"),
+    pytest.param(lambda: aggregate_global_prototypes([([0], [[1.0]], [2.5])]), r"support\[0\] = 2.5",
+                 id="prototype-support"),
+]
+
+
+@pytest.mark.parametrize("call,match", NOT_INTEGER)
+def test_values_that_are_not_integers_raise_by_name(call, match):
+    with pytest.raises(DataFormatError, match=match + " is not an integer"):
+        call()
+
+
+def test_whole_floats_are_accepted_and_integer_arrays_pass_as_they_are():
+    assert Dataset(np.zeros((2, 1)), [0.0, 1.0], 2).labels.tolist() == [0, 1]
+    assert ClientShard(0, []).indices.dtype == np.int64
+    indices = np.arange(4)
+    assert ClientShard(0, indices).indices is indices
 
 
 # --- IDX files --------------------------------------------------------------

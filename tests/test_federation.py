@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedpr.data import ClientShard, synthetic_blobs
+from fedpr.data import ClientShard, Dataset, synthetic_blobs
 from fedpr.errors import ConfigError, DimensionError, DivergenceError
 from fedpr.federation import (
     ClientState,
@@ -56,6 +56,25 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
 
 def scalar_params(value):
     return ModelParams([LayerParams("w", "dense", [[float(value)]], [0.0])], 1)
+
+
+# Named errors of the round functions that no other test raises, with a
+# call that raises each and the text it must carry.
+NAMED_ERRORS = [
+    pytest.param(
+        lambda: client_local_update(
+            ClientState(3, ClientShard(3, [])), scalar_params(1.0), GlobalPrototypeSet.empty(0),
+            small_cfg(), Dataset(np.zeros((2, 1)), [0, 1], 2),
+        ),
+        ValueError, "client 3: empty shard", id="client-empty-shard",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,match", NAMED_ERRORS)
+def test_each_named_error_is_raised_with_its_text(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # --- server averaging -------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from fedpr import evaluation, nn, prototypes
 from fedpr.data import ClientShard, Dataset
-from fedpr.errors import DimensionError, LabelError, NumericError
+from fedpr.errors import DataFormatError, DimensionError, LabelError, NumericError
 from fedpr.evaluation import evaluate_accuracy
 from fedpr.nn import (
     _CONV_BLOCK,
@@ -132,6 +132,67 @@ def test_bad_layer_shapes_and_vector_raise_dimension_error():
     layers = [LayerParams("fc", "dense", np.zeros((2, 3)), np.zeros(2))]
     with pytest.raises(DimensionError, match="vector"):
         ModelParams(layers, 1, np.zeros(7))
+
+
+def _dense(**flags):
+    return LayerParams("fc", "dense", np.zeros((2, 3)), np.zeros(2), **flags)
+
+
+def _mlp2():
+    return build_mlp2(np.random.default_rng(0), 6, 3)
+
+
+# Every named error of the layer, model and loss checks, with a call that
+# raises it and the text it must carry.
+NAMED_ERRORS = [
+    pytest.param(lambda: LayerParams("p", "pool", np.zeros((2, 3)), np.zeros(2)), ValueError,
+                 "unknown layer kind 'pool'", id="layer-unknown-kind"),
+    pytest.param(lambda: LayerParams("fc", "dense", np.zeros(3), np.zeros(3)), DimensionError,
+                 r"dense layer 'fc': weight must be \[out, in\], got \(3,\)", id="layer-1d-dense-weight"),
+    pytest.param(lambda: _dense(pool=True), ValueError, "layer 'fc': pooling only follows conv layers",
+                 id="layer-pool-on-dense"),
+    pytest.param(lambda: ModelParams([], 0), ValueError, "model needs at least one layer", id="model-no-layers"),
+    pytest.param(lambda: ModelParams([_dense()], 2), ValueError, "extractor_boundary 2 out of range for 1 layers",
+                 id="model-boundary-above"),
+    pytest.param(lambda: ModelParams([_dense()], -1), ValueError, "extractor_boundary -1 out of range for 1 layers",
+                 id="model-boundary-below"),
+    pytest.param(lambda: dense_forward(np.zeros((2, 3)), np.zeros(2), np.zeros(3)), DimensionError,
+                 r"dense input must be \[batch, in\], got \(3,\)", id="dense-1d-input"),
+    pytest.param(lambda: conv2d_forward(np.zeros((2, 3, 3, 3)), np.zeros(2), np.zeros((1, 1, 5, 5))), DimensionError,
+                 "conv kernel expects 3 input channels, input has 1", id="conv-channel-mismatch"),
+    pytest.param(lambda: conv2d_forward(np.zeros((2, 1, 3)), np.zeros(2), np.zeros((1, 1, 5, 5))), DimensionError,
+                 r"conv kernel must be \[outC, inC, k, k\], got \(2, 1, 3\)", id="conv-kernel-shape"),
+    pytest.param(lambda: conv2d_forward(np.zeros((2, 1, 3, 3)), np.zeros(2), np.zeros((1, 5, 5))), DimensionError,
+                 r"conv input must be \[batch, C, H, W\], got \(1, 5, 5\)", id="conv-input-shape"),
+    pytest.param(lambda: conv2d_forward(np.zeros((2, 1, 3, 3)), np.zeros(3), np.zeros((1, 1, 5, 5))), DimensionError,
+                 r"conv bias \(3,\) does not match kernel \(2, 1, 3, 3\)", id="conv-bias-shape"),
+    pytest.param(lambda: maxpool2(np.zeros((1, 4, 4))), DimensionError,
+                 r"maxpool2 input must be \[batch, C, H, W\], got \(1, 4, 4\)", id="maxpool-3d-input"),
+    pytest.param(lambda: softmax_cross_entropy(np.zeros(3), [0]), DimensionError,
+                 r"logits must be \[batch, classes\], got \(3,\)", id="ce-1d-logits"),
+    pytest.param(lambda: softmax_cross_entropy(np.zeros((2, 3)), [0]), DimensionError,
+                 r"labels shape \(1,\) does not match batch of 2", id="ce-label-count"),
+    pytest.param(lambda: softmax_cross_entropy(np.zeros((0, 3)), []), DimensionError,
+                 "softmax_cross_entropy needs a non-empty batch", id="ce-empty-batch"),
+    pytest.param(lambda: softmax_cross_entropy(np.zeros((2, 3)), [0.9, 2.9]), DataFormatError,
+                 r"labels\[0\] = 0.9 is not an integer", id="ce-fractional-label"),
+    pytest.param(lambda: model_forward(_mlp2(), np.zeros(6)), DimensionError,
+                 r"model input must have a batch axis, got shape \(6,\)", id="model-input-without-batch-axis"),
+    pytest.param(lambda: model_forward(build_cnn4(np.random.default_rng(0)), np.zeros((2, 784))), DimensionError,
+                 r"conv layer 'conv1': input must be \[batch, C, H, W\], got \(2, 784\)", id="conv-layer-2d-input"),
+    pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((1, 6)), [0], None, -0.5), ValueError,
+                 "lam must be non-negative, got -0.5", id="loss-negative-lam"),
+    pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((1, 6)), [0], None, 1.0, "cubed"), ValueError,
+                 "unknown proto_form 'cubed'", id="loss-unknown-proto-form"),
+    pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((2, 6)), [0, 1.5]), DataFormatError,
+                 r"labels\[1\] = 1.5 is not an integer", id="loss-fractional-label"),
+]
+
+
+@pytest.mark.parametrize("call,error,match", NAMED_ERRORS)
+def test_each_named_error_is_raised_with_its_text(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # --- dense ------------------------------------------------------------------

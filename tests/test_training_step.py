@@ -88,16 +88,19 @@ def test_cnn4_step_with_dead_channels_matches_frozen_step_bitwise():
         assert_same_report(got, want)
 
 
-@pytest.mark.parametrize("n", [1, 3, 8])
-def test_conv_layers_without_pool_or_relu_match_frozen_step_bitwise(n):
-    # conv+ReLU without a pool, then conv+pool without a ReLU.
-    rng = np.random.default_rng(43)
-    layers = [
+def conv_stack(rng):
+    """conv+ReLU without a pool, then conv+pool without a ReLU, then 5 logits."""
+    return [
         LayerParams("c1", "conv", rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4), relu=True),
         LayerParams("c2", "conv", rng.normal(size=(3, 4, 3, 3)), rng.normal(size=3), pool=True),
         LayerParams("fc", "dense", rng.normal(size=(5, 27)), rng.normal(size=5)),
     ]
-    params = ModelParams(layers, extractor_boundary=2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_conv_layers_without_pool_or_relu_match_frozen_step_bitwise(n):
+    rng = np.random.default_rng(43)
+    params = ModelParams(conv_stack(rng), extractor_boundary=2)
     x = np.round(rng.normal(size=(n, 2, 10, 10)))
     y = rng.integers(0, 5, size=n)
     protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=27) for c in range(4)})
@@ -118,6 +121,26 @@ def test_mlp2_step_matches_frozen_step_bitwise(form):
         loss_and_grad(params, x, y, protos, 1.0, form),
         frozen_step.loss_and_grad(params, x, y, protos, 1.0, form),
     )
+
+
+@pytest.mark.parametrize("form", ["squared", "unsquared"])
+@pytest.mark.parametrize("model", ["mlp2", "conv-stack"])
+def test_step_with_the_logits_as_embedding_matches_frozen_step_bitwise(model, form):
+    # At extractor_boundary == len(layers) the prototype gradient joins at
+    # the top of the last layer, on the logits' gradient.
+    rng = np.random.default_rng(44)
+    if model == "mlp2":
+        params = ModelParams(build_mlp2(rng, 20, 4, hidden=16).layers, extractor_boundary=2)
+        x = rng.normal(size=(9, 20))
+    else:
+        params = ModelParams(conv_stack(rng), extractor_boundary=3)
+        x = np.round(rng.normal(size=(6, 2, 10, 10)))
+    classes = len(params.layers[-1].bias)
+    y = rng.integers(0, classes, size=len(x))
+    protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=classes) for c in range(classes - 1)})
+    got = loss_and_grad(params, x, y, protos, 0.5, form)
+    assert got.proto_loss > 0
+    assert_same_report(got, frozen_step.loss_and_grad(params, x, y, protos, 0.5, form))
 
 
 # --- the pool with its ReLU folded in ----------------------------------------
