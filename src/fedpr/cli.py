@@ -46,6 +46,9 @@ CSV_HEADER = ",".join(["round", *_ROUND_COLUMNS.values()])
 
 _KEY_TO_FIELD = {key: field for field, key in CONFIG_NAMES.items()}
 
+# What run_cli reports as `error: ...` (status 2); every fedpr.errors class derives from one.
+CLI_ERRORS = (ValueError, RuntimeError, ArithmeticError, OSError)
+
 
 def _coerce(key: str, raw: str):
     """Parse a stripped config-file string into the type of the field's default."""
@@ -62,12 +65,12 @@ def _coerce(key: str, raw: str):
 
 def read_config_file(path) -> dict:
     """Parse `key = value` lines of UTF-8 text; '#' starts a comment;
-    unknown keys fail."""
+    unknown and repeated keys fail."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: byte {exc.start}: not UTF-8 text") from None
-    values = {}
+    values, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -78,6 +81,9 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if key not in _KEY_TO_FIELD:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _coerce(key, raw.strip())
         except (TypeError, ValueError) as exc:
@@ -420,7 +426,7 @@ def run_cli(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    except CLI_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DatasetConsistencyError, LabelError, TruncatedFileError
+from .errors import DataFormatError, DimensionError, LabelError, TruncatedFileError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -36,6 +36,16 @@ def _int64(values, name: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+def _labels(values, num_classes: int) -> np.ndarray:
+    """values as int64 class labels; the first label outside [0, num_classes)
+    raises LabelError naming it and its index."""
+    labels = _int64(values, "labels")
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        raise LabelError(f"label {labels.flat[bad[0]]} at index {bad[0]} outside [0, {num_classes})")
+    return labels
+
+
 @dataclass
 class Dataset:
     """Images (float64, [n,1,H,W] or [n,dim]) with integer class labels."""
@@ -46,16 +56,9 @@ class Dataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = _int64(self.labels, "labels")
+        self.labels = _labels(self.labels, self.num_classes)
         if self.labels.ndim != 1 or len(self.images) != len(self.labels):
-            raise DatasetConsistencyError(
-                f"{len(self.images)} images but {len(self.labels)} labels"
-            )
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise DatasetConsistencyError(
-                f"labels outside [0, {self.num_classes}): "
-                f"min {self.labels.min()}, max {self.labels.max()}"
-            )
+            raise DimensionError(f"{len(self.images)} images but {len(self.labels)} labels")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -63,13 +66,16 @@ class Dataset:
 
 @dataclass
 class ClientShard:
-    """One client's view: indices into a parent Dataset."""
+    """One client's view: non-negative indices into a parent Dataset."""
 
     client_id: int
     indices: np.ndarray
 
     def __post_init__(self):
         self.indices = _int64(self.indices, "indices")
+        negative = np.flatnonzero(self.indices < 0)
+        if negative.size:
+            raise DataFormatError(f"indices[{negative[0]}] = {self.indices.flat[negative[0]]} is negative")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -212,10 +218,8 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float, seed
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     labels = _int64(labels, "labels")
-    negative = np.flatnonzero(labels < 0)
-    if negative.size:
-        raise LabelError(f"label {labels[negative[0]]} at index {negative[0]} is negative")
-    num_classes = int(labels.max()) + 1 if len(labels) else 0
+    num_classes = int(labels.max(initial=-1)) + 1
+    _labels(labels, num_classes)  # only a negative label is outside
     rng = np.random.default_rng(seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for cls in range(num_classes):
@@ -250,7 +254,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def class_counts(shards, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """[N, C] matrix of per-client per-class sample counts."""
-    labels = _int64(labels, "labels")
+    labels = _labels(labels, num_classes)
     counts = np.zeros((len(shards), num_classes), dtype=np.int64)
     for row, shard in enumerate(shards):
         np.add.at(counts[row], labels[shard.indices], 1)

@@ -21,10 +21,6 @@ class TruncatedFileError(DataFormatError):
     """An input file ended before its declared payload was complete."""
 
 
-class DatasetConsistencyError(ValueError):
-    """Images, labels, and class count of a dataset disagree."""
-
-
 class ConfigError(ValueError):
     """An experiment configuration value is missing, unknown, or out of range."""
 

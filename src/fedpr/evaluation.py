@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _int64
+from .data import Dataset, _int64, _labels
 from .errors import DimensionError, EmptyPrototypesError
 from .nn import ModelParams, _fork_map, model_forward
 from .prototypes import GlobalPrototypeSet
@@ -37,13 +37,10 @@ def _nearest_class(emb: np.ndarray, classes: np.ndarray, vectors: np.ndarray) ->
 def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> int:
     """Number of predictions equal to their label."""
     predictions = _int64(predictions, "predictions")
-    labels = _int64(labels, "labels")
-    for name, values in (("prediction", predictions), ("label", labels)):
-        if len(values) and (values.min() < 0 or values.max() >= num_classes):
-            raise DimensionError(
-                f"{name} values outside [0, {num_classes}); the model's output "
-                f"classes do not match the dataset"
-            )
+    labels = _labels(labels, num_classes)
+    if len(predictions) and (predictions.min() < 0 or predictions.max() >= num_classes):
+        raise DimensionError(f"prediction values outside [0, {num_classes}); "
+                             "the model's output classes do not match the dataset")
     return int(np.sum(predictions == labels))
 
 

@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import _int64
-from .errors import DimensionError, LabelError, NumericError
+from .data import _int64, _labels
+from .errors import DimensionError, NumericError
 
 log = logging.getLogger(__name__)
 
@@ -379,19 +379,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]):
     Returns (loss, dlogits) where dlogits = (softmax - onehot) / batch.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _int64(labels, "labels")
     if logits.ndim != 2:
         raise DimensionError(f"logits must be [batch, classes], got {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise DimensionError(
-            f"labels shape {labels.shape} does not match batch of {logits.shape[0]}"
-        )
     n, c = logits.shape
+    labels = _labels(labels, c)
+    if labels.shape != (n,):
+        raise DimensionError(f"labels shape {labels.shape} does not match batch of {n}")
     if n < 1:
         raise DimensionError("softmax_cross_entropy needs a non-empty batch")
-    bad = np.flatnonzero((labels < 0) | (labels >= c))
-    if bad.size:
-        raise LabelError(f"label {labels[bad[0]]} at index {bad[0]} outside [0, {c})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)

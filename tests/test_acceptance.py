@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from fedpr import checks
-from fedpr.cli import build_artifact, write_round_csv, write_summary
+from fedpr.cli import build_artifact, natural_accuracy_field, write_round_csv, write_summary
 from fedpr.data import find_idx_file
 from fedpr.evaluation import last_k_mean
-from fedpr.federation import FederationConfig, run_experiment
+from fedpr.federation import FEDAVG_VALUES, FederationConfig, run_experiment
 
 DATA_DIR = os.environ.get("FEDPR_DATA_DIR", "data")
 
@@ -47,7 +47,9 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 
 def reference_protocol(dataset: str, seed: int, strategy: str) -> FederationConfig:
     """The scaled reproduction protocol: 10 clients, Dir(0.05), 2000
-    samples, B=8, eta=0.01, mu=0.5, T=100, cnn4; E=1 (mnist) / E=5 (fashion)."""
+    samples, B=8, eta=0.01, mu=0.5, T=100, cnn4; E=1 (mnist) / E=5 (fashion);
+    fedpr at lambda=1 scored on both paths, fedavg at the values it forces."""
+    fedpr = {"lam": 1.0, "eval_inference": "both"}
     return FederationConfig(
         num_clients=10,
         rounds=100,
@@ -56,20 +58,18 @@ def reference_protocol(dataset: str, seed: int, strategy: str) -> FederationConf
         learning_rate=0.01,
         momentum=0.5,
         dirichlet_alpha=0.05,
-        lam=1.0 if strategy == "fedpr" else 0.0,
         strategy=strategy,
         model="cnn4",
         master_seed=seed,
         dataset=dataset,
         data_dir=DATA_DIR,
         subsample_n=2000,
-        eval_inference="both" if strategy == "fedpr" else "softmax",
+        **(fedpr if strategy == "fedpr" else FEDAVG_VALUES),
     )
 
 
-def natural_last10(records, strategy: str) -> float:
-    field = "test_accuracy_prototype" if strategy == "fedpr" else "test_accuracy_softmax"
-    return last_k_mean(records, 10, field)
+def natural_last10(cfg: FederationConfig, records) -> float:
+    return last_k_mean(records, 10, natural_accuracy_field(cfg))
 
 
 def first_round_reaching(records, threshold: float) -> float:
@@ -144,8 +144,8 @@ def mnist_runs():
 
 @requires_mnist
 def test_criterion_5_mnist_reproduction(mnist_runs):
-    pr = np.mean([natural_last10(mnist_runs[("fedpr", s)][1], "fedpr") for s in MNIST_SEEDS])
-    avg = np.mean([natural_last10(mnist_runs[("fedavg", s)][1], "fedavg") for s in MNIST_SEEDS])
+    pr = np.mean([natural_last10(*mnist_runs[("fedpr", s)]) for s in MNIST_SEEDS])
+    avg = np.mean([natural_last10(*mnist_runs[("fedavg", s)]) for s in MNIST_SEEDS])
     delta_pp = 100.0 * (pr - avg)
     check(
         5,
@@ -161,8 +161,8 @@ def test_criterion_6_fashion_reproduction():
     for strategy in ("fedpr", "fedavg"):
         values = []
         for seed in MNIST_SEEDS:
-            records = run_experiment(reference_protocol("fashion", seed, strategy))
-            values.append(natural_last10(records, strategy))
+            cfg = reference_protocol("fashion", seed, strategy)
+            values.append(natural_last10(cfg, run_experiment(cfg)))
         last10[strategy] = float(np.mean(values))
     delta_pp = 100.0 * (last10["fedpr"] - last10["fedavg"])
     check(

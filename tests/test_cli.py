@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedpr import checks, cli
+from fedpr import checks, cli, errors
 from fedpr.cli import (
     build_artifact,
     config_external_dict,
@@ -153,6 +153,8 @@ def test_config_file_bool_spellings(tmp_path, raw, value):
 READER_ERRORS = [
     pytest.param(parse_config, "support_weighted_protos = maybe\n",
                  ":1: support_weighted_protos: cannot parse 'maybe' as a boolean", id="config-bool"),
+    pytest.param(parse_config, "rounds = 3\n# again\nrounds = 5\n",
+                 ":3: rounds already set on line 1", id="config-repeated-key"),
     pytest.param(read_round_csv, "round,mean_train_loss,acc_softmax,acc_prototype\n1,0.5,0.25\n",
                  ": malformed row '1,0.5,0.25'", id="csv-short-row"),
     pytest.param(read_round_csv, "round,mean_train_loss,acc_softmax,acc_prototype\n1,0.5,0.25,,\n",
@@ -307,6 +309,12 @@ def test_config_file_parses_or_names_its_path_or_key(tmp_path, data):
     except ConfigError as exc:
         message = str(exc)
         assert message.startswith(f"{path}:") or message.split(":")[0] in CONFIG_KEYS, message
+
+
+def test_every_named_error_reaches_the_user_as_an_error_line():
+    named = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert named
+    assert [c.__name__ for c in named if not issubclass(c, cli.CLI_ERRORS)] == []
 
 
 def test_non_utf8_config_file_names_its_path(tmp_path, capsys):

@@ -23,8 +23,9 @@ from fedpr.data import (
     write_idx_images,
     write_idx_labels,
 )
-from fedpr.errors import DataFormatError, DatasetConsistencyError, LabelError, TruncatedFileError
+from fedpr.errors import DataFormatError, DimensionError, LabelError, TruncatedFileError
 from fedpr.evaluation import tally_predictions
+from fedpr.nn import softmax_cross_entropy
 from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes
 
 DATA_DIR = os.environ.get("FEDPR_DATA_DIR", "data")
@@ -53,6 +54,37 @@ NOT_INTEGER = [
 def test_values_that_are_not_integers_raise_by_name(call, match):
     with pytest.raises(DataFormatError, match=match + " is not an integer"):
         call()
+
+
+# The label rule, one row per caller: the first label outside [0, C) raises
+# LabelError naming it, its index and the range.
+LABEL_OUTSIDE = [
+    pytest.param(lambda: Dataset(np.zeros((2, 4)), [0, 5], 3), "label 5 at index 1 outside [0, 3)", id="dataset"),
+    pytest.param(lambda: softmax_cross_entropy(np.zeros((2, 3)), [0, 5]), "label 5 at index 1 outside [0, 3)",
+                 id="cross-entropy"),
+    pytest.param(lambda: tally_predictions([0, 1, 2], [0, 5, 2], 3), "label 5 at index 1 outside [0, 3)",
+                 id="tally-labels"),
+    pytest.param(lambda: class_counts([ClientShard(0, [0, 1])], [0, -1], 3), "label -1 at index 1 outside [0, 3)",
+                 id="class-counts-negative"),
+    pytest.param(lambda: class_counts([ClientShard(0, [0, 1])], [0, 3], 3), "label 3 at index 1 outside [0, 3)",
+                 id="class-counts-too-large"),
+    pytest.param(lambda: dirichlet_partition([-1, 0, 1], 2, 0.5, seed=0), "label -1 at index 0 outside [0, 2)",
+                 id="partition-negative"),
+]
+
+
+@pytest.mark.parametrize("call,message", LABEL_OUTSIDE)
+def test_a_label_outside_the_classes_raises_label_error_naming_it(call, message):
+    with pytest.raises(LabelError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_negative_shard_index_raises_by_position():
+    # Python indexing would read it as a sample counted from the end.
+    with pytest.raises(DataFormatError) as info:
+        ClientShard(0, [0, -1])
+    assert str(info.value) == "indices[1] = -1 is negative"
 
 
 def test_whole_floats_are_accepted_and_integer_arrays_pass_as_they_are():
@@ -227,12 +259,12 @@ def test_idx_loaders_raise_only_format_errors(tmp_path, data):
 
 
 def test_dataset_count_mismatch():
-    with pytest.raises(DatasetConsistencyError, match="images"):
+    with pytest.raises(DimensionError, match="3 images but 2 labels"):
         Dataset(np.zeros((3, 4)), np.zeros(2, dtype=np.int64), 2)
 
 
 def test_dataset_label_out_of_range():
-    with pytest.raises(DatasetConsistencyError, match="labels outside"):
+    with pytest.raises(LabelError, match=r"label 5 at index 1 outside \[0, 3\)"):
         Dataset(np.zeros((2, 4)), np.array([0, 5]), 3)
 
 
@@ -363,7 +395,7 @@ def test_partition_invalid_args():
     with pytest.raises(ValueError, match="alpha"):
         dirichlet_partition(labels, 2, 0.0, seed=0)
     # A negative label belongs to no class, so its sample would be left out.
-    with pytest.raises(LabelError, match="label -1 at index 0 is negative"):
+    with pytest.raises(LabelError, match=r"label -1 at index 0 outside \[0, 2\)"):
         dirichlet_partition(np.array([-1, 0, 1]), 2, 0.5, seed=0)
 
 
