@@ -9,6 +9,7 @@ and dual softmax / nearest-prototype inference.
 
 __version__ = "0.1.0"
 
+from . import parallel  # first: numpy's OpenBLAS is pinned before other fedpr code runs
 from .data import ClientShard, Dataset, dirichlet_partition, subsample, synthetic_blobs
 from .evaluation import EvalReport, evaluate_accuracy, last_k_mean
 from .federation import (
@@ -40,9 +41,9 @@ from .prototypes import (
 )
 from . import data, evaluation, federation, nn, prototypes
 
-# nn._fork_map keeps all work in the calling process once a program
+# parallel._fork_map keeps all work in the calling process once a program
 # rebinds one of these modules' public functions.
-nn._record_bindings([data, evaluation, federation, nn, prototypes])
+parallel._record_bindings([data, evaluation, federation, nn, prototypes])
 
 __all__ = [
     "BatchLossReport",

@@ -81,6 +81,15 @@ class ClientShard:
         return len(self.indices)
 
 
+def _shard_indices(shard: ClientShard, n: int) -> np.ndarray:
+    """shard.indices; the first one past a dataset of ``n`` samples raises DataFormatError."""
+    indices = shard.indices
+    if len(indices) and indices.max() >= n:
+        i = int(np.argmax(indices >= n))
+        raise DataFormatError(f"client {shard.client_id}: indices[{i}] = {indices[i]} is past the end of {n} samples")
+    return indices
+
+
 def _open_maybe_gzip(path):
     with open(path, "rb") as probe:
         head = probe.read(2)
@@ -142,22 +151,6 @@ def load_idx_labels(path) -> np.ndarray:
     if len(payload) < count:
         raise TruncatedFileError(f"{path}: expected {count} label bytes, found {len(payload)}")
     return np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)
-
-
-def write_idx_images(path, images_u8: np.ndarray) -> None:
-    """Inverse of load_idx_images for fixtures; expects uint8 [n, rows, cols]."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
-    n, rows, cols = images_u8.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images_u8.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
 
 
 _IDX_NAMES = {
@@ -257,7 +250,7 @@ def class_counts(shards, labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = _labels(labels, num_classes)
     counts = np.zeros((len(shards), num_classes), dtype=np.int64)
     for row, shard in enumerate(shards):
-        np.add.at(counts[row], labels[shard.indices], 1)
+        np.add.at(counts[row], labels[_shard_indices(shard, len(labels))], 1)
     return counts
 
 

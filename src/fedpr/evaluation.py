@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import Dataset, _int64, _labels
 from .errors import DimensionError, EmptyPrototypesError
-from .nn import ModelParams, _fork_map, model_forward
+from .nn import ModelParams, model_forward
+from .parallel import _fork_map
 from .prototypes import GlobalPrototypeSet
 
 _EVAL_CHUNK = 512
@@ -38,6 +39,8 @@ def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: 
     """Number of predictions equal to their label."""
     predictions = _int64(predictions, "predictions")
     labels = _labels(labels, num_classes)
+    if predictions.shape != labels.shape:
+        raise DimensionError(f"predictions of shape {predictions.shape} but labels of shape {labels.shape}")
     if len(predictions) and (predictions.min() < 0 or predictions.max() >= num_classes):
         raise DimensionError(f"prediction values outside [0, {num_classes}); "
                              "the model's output classes do not match the dataset")

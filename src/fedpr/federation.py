@@ -18,18 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import data as datamod
-from .data import ClientShard, Dataset
+from .data import ClientShard, Dataset, _shard_indices
 from .errors import ConfigError, DimensionError, DivergenceError
 from .evaluation import EVAL_MODES, evaluate_accuracy
-from .nn import (
-    ModelParams,
-    OptimizerState,
-    _fork_map,
-    build_cnn4,
-    build_mlp2,
-    loss_and_grad,
-    sgd_momentum_step,
-)
+from .nn import ModelParams, OptimizerState, build_cnn4, build_mlp2, loss_and_grad, sgd_momentum_step
+from .parallel import _fork_map
 from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_prototypes, compute_local_prototypes
 
 log = logging.getLogger(__name__)
@@ -184,7 +177,7 @@ def client_local_update(
     the whole update. Returns (params, prototypes, final-epoch mean loss);
     the prototypes are None under fedavg.
     """
-    indices = state.shard.indices
+    indices = _shard_indices(state.shard, len(train_data))
     if not len(indices):
         raise ValueError(f"client {state.client_id}: empty shard")
     rng = client_rng(cfg.master_seed, state.client_id, round_index)
@@ -262,9 +255,9 @@ def run_round(
 
     All clients see the same inputs; aggregation happens once, after the
     last client finishes. The clients train in forked helper processes
-    (nn._fork_map), but they are aggregated in client-id order, whatever
-    the order of ``clients``, so the outcome depends on neither. Clients
-    with empty shards are skipped.
+    (parallel._fork_map), but they are aggregated in client-id order,
+    whatever the order of ``clients``, so the outcome depends on neither.
+    Clients with empty shards are skipped.
     """
     active = sorted((state for state in clients if len(state.shard)), key=lambda state: state.client_id)
     if not active:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _int64
+from .data import ClientShard, Dataset, _int64, _shard_indices
 from .errors import DataFormatError, DimensionError
 from .nn import ModelParams, model_forward
 
@@ -136,7 +136,7 @@ def compute_local_prototypes(
     Uses evaluation mode (no batching stochasticity): samples are pushed
     through the extractor in index order, in fixed-size chunks.
     """
-    indices = shard.indices
+    indices = _shard_indices(shard, len(dataset))
     if not len(indices):
         raise ValueError(f"client {shard.client_id}: cannot compute prototypes on an empty shard")
     labels = dataset.labels[indices]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import test_golden
 
-from fedpr import nn
+from fedpr import parallel
 
 NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
@@ -54,7 +54,7 @@ import ctypes, sys
 import fedpr
 lib = ctypes.CDLL(sys.argv[1])
 lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-print(fedpr.nn._BLAS_PINNED, lib.scipy_openblas_get_num_threads64_())
+print(fedpr.parallel._BLAS_PINNED, lib.scipy_openblas_get_num_threads64_())
 """
 
 
@@ -72,7 +72,7 @@ def test_import_pins_openblas_to_one_thread():
         pytest.param(
             "cnn4-fedavg",
             marks=pytest.mark.xfail(
-                not nn._BLAS_PINNED and nn._usable_cpus() >= 2,
+                not parallel._BLAS_PINNED and parallel._usable_cpus() >= 2,
                 reason="two OpenBLAS threads move low-order bits of conv2's kernel-gradient "
                 "GEMM ([20, 64*batch] x [64*batch, 250]) from batch 4 up; np.tensordot "
                 "forms the same product, with the same bits under each thread count",
@@ -83,7 +83,7 @@ def test_import_pins_openblas_to_one_thread():
         pytest.param(
             "mlp2-784-fedpr-unsquared",
             marks=pytest.mark.xfail(
-                not nn._BLAS_PINNED and nn._usable_cpus() >= 2,
+                not parallel._BLAS_PINNED and parallel._usable_cpus() >= 2,
                 reason="two OpenBLAS threads move low-order bits of a chunk-sized dense "
                 "GEMM at 784 inputs (a [500, 784] x [784, 128] product differs), as on "
                 "the mlp2-50clients-fedpr benchmark workload",

@@ -22,9 +22,10 @@ from fedpr.cli import (
     write_round_csv,
     write_summary,
 )
-from fedpr.data import class_counts, write_idx_images, write_idx_labels
+from fedpr.data import class_counts
 from fedpr.errors import ConfigError
 from fedpr.federation import FederationConfig, RoundRecord, prepare_partition
+from idx_files import write_idx_images, write_idx_labels
 
 
 SYNTH_FLAGS = [

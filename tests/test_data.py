@@ -20,13 +20,13 @@ from fedpr.data import (
     load_idx_labels,
     subsample,
     synthetic_blobs,
-    write_idx_images,
-    write_idx_labels,
 )
 from fedpr.errors import DataFormatError, DimensionError, LabelError, TruncatedFileError
 from fedpr.evaluation import tally_predictions
-from fedpr.nn import softmax_cross_entropy
-from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes
+from fedpr.federation import ClientState, FederationConfig, client_local_update
+from fedpr.nn import build_mlp2, softmax_cross_entropy
+from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes, compute_local_prototypes
+from idx_files import write_idx_images, write_idx_labels
 
 DATA_DIR = os.environ.get("FEDPR_DATA_DIR", "data")
 
@@ -85,6 +85,37 @@ def test_a_negative_shard_index_raises_by_position():
     with pytest.raises(DataFormatError) as info:
         ClientShard(0, [0, -1])
     assert str(info.value) == "indices[1] = -1 is negative"
+
+
+THREE = Dataset(np.zeros((3, 4)), [0, 1, 2], 3)
+
+
+def mlp2():
+    return build_mlp2(np.random.default_rng(0), 4, 3, hidden=5)
+
+
+# The shard rule, one row per caller that lays a shard over a dataset: the
+# first index at or past the dataset's end fails by name, where numpy would
+# raise a bare IndexError, mid-epoch in a local update. Predictions and
+# labels of different lengths fail too, where numpy would broadcast them.
+SIZE_MISMATCH = [
+    pytest.param(lambda: class_counts([ClientShard(0, [0, 7])], THREE.labels, 3), DataFormatError,
+                 "client 0: indices[1] = 7 is past the end of 3 samples", id="class-counts"),
+    pytest.param(lambda: compute_local_prototypes(mlp2(), THREE, ClientShard(1, [3, 0])), DataFormatError,
+                 "client 1: indices[0] = 3 is past the end of 3 samples", id="local-prototypes"),
+    pytest.param(lambda: client_local_update(ClientState(2, ClientShard(2, [0, 1, 2, 1, 0, 2, 1, 0, 2, 9])), mlp2(),
+                                             GlobalPrototypeSet.empty(0), FederationConfig(), THREE),
+                 DataFormatError, "client 2: indices[9] = 9 is past the end of 3 samples", id="local-update"),
+    pytest.param(lambda: tally_predictions([1], [1, 1, 1], 2), DimensionError,
+                 "predictions of shape (1,) but labels of shape (3,)", id="tally-lengths"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", SIZE_MISMATCH)
+def test_a_shard_or_prediction_that_does_not_fit_raises_by_name(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_whole_floats_are_accepted_and_integer_arrays_pass_as_they_are():

@@ -1,10 +1,10 @@
-"""Work shared between forked helper processes (``nn._fork_map``): rounds
-and evaluations give the serial loop's bits and errors at any process
-count, no helper outlives a call, and work stays in the caller where a
-helper would lose its side effects.
+"""Work shared between forked helper processes (``parallel._fork_map``):
+rounds and evaluations give the serial loop's bits and errors at any
+process count, no helper or memory file outlives a call, and work stays
+in the caller where a helper would lose its side effects.
 
-The process count is set through ``nn._usable_cpus``, so a one-CPU runner
-takes the forking path too.
+The process count is set through ``parallel._usable_cpus``, so a one-CPU
+runner takes the forking path too.
 """
 
 import hashlib
@@ -15,21 +15,21 @@ import time
 import numpy as np
 import pytest
 
-from fedpr import federation, nn
+from fedpr import federation, nn, parallel
 from fedpr.data import Dataset
 from fedpr.errors import DivergenceError
 from fedpr.prototypes import GlobalPrototypeSet
 from test_federation import small_cfg
 from test_golden import GOLDEN, RUNS
 
-pytestmark = pytest.mark.skipif(not nn._CAN_FORK, reason="fedpr forks helpers only on Linux")
+pytestmark = pytest.mark.skipif(not parallel._CAN_FORK, reason="fedpr forks helpers only on Linux")
 
 # Serial, two, an uneven split, and more processes than any call has tasks.
 PROCESS_COUNTS = (1, 2, 3, 200)
 
 
 def use_processes(monkeypatch, count: int) -> None:
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: count)
 
 
 def assert_no_helper_left() -> None:
@@ -66,7 +66,7 @@ def test_runs_are_bit_identical_at_every_process_count(name, monkeypatch):
         results[count] = run(spec)
         assert_no_helper_left()
     digest, records = results[1]
-    if nn._BLAS_PINNED:
+    if parallel._BLAS_PINNED:
         assert digest == GOLDEN[name]["sha256"]
     for count in PROCESS_COUNTS:
         assert results[count][0] == digest, count
@@ -87,14 +87,14 @@ def test_results_come_back_in_item_order(count, monkeypatch):
     use_processes(monkeypatch, count)
     items = list(range(11))
     costs = [(7 * i) % 5 for i in items]
-    assert nn._fork_map(square_or_raise(()), items, costs) == [i * i for i in items]
-    assert nn._fork_map(square_or_raise(()), [], []) == []
+    assert parallel._fork_map(square_or_raise(()), items, costs) == [i * i for i in items]
+    assert parallel._fork_map(square_or_raise(()), [], []) == []
     assert_no_helper_left()
 
 
 def test_longest_item_first_and_every_share_in_a_helper(monkeypatch):
     use_processes(monkeypatch, 2)
-    pids = nn._fork_map(lambda _: os.getpid(), range(4), [1, 5, 1, 1])
+    pids = parallel._fork_map(lambda _: os.getpid(), range(4), [1, 5, 1, 1])
     # Item 1 is the longest and fills one helper's share; the other three
     # fit beside it in the other helper's. The caller runs none.
     assert pids[0] == pids[2] == pids[3] != pids[1]
@@ -103,7 +103,7 @@ def test_longest_item_first_and_every_share_in_a_helper(monkeypatch):
 
 
 def caller_only(items) -> bool:
-    return nn._fork_map(lambda _: os.getpid(), items, [1] * len(items)) == [os.getpid()] * len(items)
+    return parallel._fork_map(lambda _: os.getpid(), items, [1] * len(items)) == [os.getpid()] * len(items)
 
 
 def test_a_rebound_public_function_keeps_every_call_in_the_caller(monkeypatch):
@@ -116,12 +116,12 @@ def test_a_rebound_public_function_keeps_every_call_in_the_caller(monkeypatch):
         assert caller_only(range(2))
     assert not caller_only(range(2))
     # Private names, such as the CPU count the tests set, do not count.
-    assert not nn._bindings_replaced()
+    assert not parallel._bindings_replaced()
 
 
 def test_off_linux_every_call_stays_in_the_caller(monkeypatch):
     use_processes(monkeypatch, 2)
-    monkeypatch.setattr(nn, "_CAN_FORK", False)
+    monkeypatch.setattr(parallel, "_CAN_FORK", False)
     assert caller_only(range(2))
 
 
@@ -150,7 +150,7 @@ def test_the_lowest_failing_item_is_raised(bad, named, monkeypatch):
     # and the second the odd ones, each stopping at its first failure.
     use_processes(monkeypatch, 2)
     with pytest.raises(ValueError, match=f"^item {named}$"):
-        nn._fork_map(square_or_raise(bad), range(8), [1] * 8)
+        parallel._fork_map(square_or_raise(bad), range(8), [1] * 8)
     assert_no_helper_left()
 
 
@@ -160,18 +160,18 @@ def test_errstate_at_the_caller_holds_in_a_helper(monkeypatch):
     with np.errstate(over="raise"):
         # Item 1 runs in the second helper.
         with pytest.raises(FloatingPointError, match="overflow"):
-            nn._fork_map(scale, [1.0, 10.0], [1, 1])
+            parallel._fork_map(scale, [1.0, 10.0], [1, 1])
     with np.errstate(over="ignore"):
-        assert nn._fork_map(scale, [1.0, 10.0], [1, 1]) == [1e308, np.inf]
+        assert parallel._fork_map(scale, [1.0, 10.0], [1, 1]) == [1e308, np.inf]
     assert_no_helper_left()
 
 
 def test_a_helper_runs_nested_calls_serially(monkeypatch):
     use_processes(monkeypatch, 2)
-    inner = lambda _: nn._fork_map(lambda _: os.getpid(), range(4), [1] * 4)  # noqa: E731
+    inner = lambda _: parallel._fork_map(lambda _: os.getpid(), range(4), [1] * 4)  # noqa: E731
     # Each item runs in a helper of its own, which runs its nested call
     # alone; at the top level the same call forks.
-    outer = nn._fork_map(inner, range(2), [1, 1])
+    outer = parallel._fork_map(inner, range(2), [1, 1])
     assert outer[0] == [outer[0][0]] * 4 and outer[1] == [outer[1][0]] * 4
     assert len({outer[0][0], outer[1][0], os.getpid()}) == 3
     assert len(set(inner(None))) == 2
@@ -187,7 +187,7 @@ def test_a_helper_that_dies_is_named_and_reaped(monkeypatch):
         return x
 
     with pytest.raises(RuntimeError, match="before writing its results"):
-        nn._fork_map(fn, range(2), [1, 1])
+        parallel._fork_map(fn, range(2), [1, 1])
     assert_no_helper_left()
 
 
@@ -202,9 +202,31 @@ def test_an_interrupted_caller_kills_and_reaps_its_helpers(monkeypatch):
 
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        nn._fork_map(fn, range(3), [1, 1, 1])
+        parallel._fork_map(fn, range(3), [1, 1, 1])
     assert time.perf_counter() - start < 30
     assert_no_helper_left()
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_a_ctrl_c_right_after_a_memory_file_is_made_closes_it(monkeypatch):
+    # The SIGINT arrives once the first memory file is made, before its helper is forked.
+    use_processes(monkeypatch, 2)
+    memfd_create = os.memfd_create
+
+    def interrupted(*args):
+        fd = memfd_create(*args)
+        os.kill(os.getpid(), signal.SIGINT)
+        return fd
+
+    before = open_fds()
+    with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+        patch.setattr(os, "memfd_create", interrupted)
+        parallel._fork_map(lambda x: x, range(2), [1, 1])
+    assert_no_helper_left()
+    assert open_fds() == before
 
 
 def world_by_process(monkeypatch):
@@ -217,7 +239,7 @@ def world_by_process(monkeypatch):
     clients = [federation.ClientState(s.client_id, s) for s in shards]
     active = [s for s in shards if len(s)]
     use_processes(monkeypatch, 2)
-    owners = nn._fork_map(lambda _: os.getpid(), active, [len(s) for s in active])
+    owners = parallel._fork_map(lambda _: os.getpid(), active, [len(s) for s in active])
     ids = sorted([s.client_id for s, pid in zip(active, owners) if pid == owner] for owner in set(owners))
     assert len(ids) == 2
 

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fedpr import evaluation, nn, prototypes
+from fedpr import evaluation, parallel, prototypes
 from fedpr.data import ClientShard, Dataset
 from fedpr.errors import DataFormatError, DimensionError, LabelError, NumericError
 from fedpr.evaluation import evaluate_accuracy
@@ -524,7 +524,7 @@ def test_prototypes_and_evaluation_match_cached_forward_bitwise(n, monkeypatch):
         global_protos = aggregate_global_prototypes([want_protos])
         want_reports = [evaluate_accuracy(params, global_protos, dataset, "both", c) for c in chunks]
     for processes in PROCESS_COUNTS:
-        monkeypatch.setattr(nn, "_usable_cpus", lambda: processes)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: processes)
         got = compute_local_prototypes(params, dataset, shard)
         assert same_bits(got.classes, want_protos.classes), processes
         assert same_bits(got.support, want_protos.support), processes
@@ -589,7 +589,7 @@ def test_pool_before_bias_matches_cached_path_bitwise(bias, monkeypatch):
                 patch.setattr(evaluation, "model_forward", cached_forward)
                 want = evaluate_accuracy(params, protos, data, "both", chunk=4)
             for processes in (1, 2):
-                monkeypatch.setattr(nn, "_usable_cpus", lambda: processes)
+                monkeypatch.setattr(parallel, "_usable_cpus", lambda: processes)
                 got = evaluate_accuracy(params, protos, data, "both", chunk=4)
                 assert got == want, (batch, processes)
 
@@ -597,7 +597,7 @@ def test_pool_before_bias_matches_cached_path_bitwise(bias, monkeypatch):
 def test_errstate_reaches_the_forked_evaluation_helper(monkeypatch):
     # Of two equal chunks on two processes, each runs in a helper of its
     # own, and only the second chunk's samples overflow in the bias add.
-    monkeypatch.setattr(nn, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     params = unit_conv_model([1e308, 0.0, 0.0])
     x = np.zeros((4 * _CONV_BLOCK, 1, 6, 8))
     x[2 * _CONV_BLOCK :] = 1.5e308
