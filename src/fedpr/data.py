@@ -8,6 +8,7 @@ and generates separable synthetic blob datasets for fast tests.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -44,6 +45,30 @@ def _labels(values, num_classes: int) -> np.ndarray:
     if bad.size:
         raise LabelError(f"label {labels.flat[bad[0]]} at index {bad[0]} outside [0, {num_classes})")
     return labels
+
+
+# A parameter rule is (test(value), message), the message formatted with the
+# value. The function that uses a parameter owns its rule, and
+# FederationConfig.validate reads the same object.
+def _at_least(low: int):
+    return (lambda v: v >= low), f"must be >= {low}, got {{}}"
+
+
+def _one_of(choices: tuple):
+    return (lambda v: v in choices), f"must be one of {choices}, got {{!r}}"
+
+
+_COUNT = _at_least(1)
+_POSITIVE = (lambda v: 0 < v < math.inf), "must be finite and > 0, got {}"
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf), "must be finite and >= 0, got {}"
+_CLASS_COUNT = _at_least(2)
+
+
+def _require(name: str, value, rule) -> None:
+    """Raise ValueError naming the parameter if value breaks its rule."""
+    test, message = rule
+    if not test(value):
+        raise ValueError(f"{name} {message.format(value)}")
 
 
 @dataclass
@@ -90,67 +115,42 @@ def _shard_indices(shard: ClientShard, n: int) -> np.ndarray:
     return indices
 
 
-def _open_maybe_gzip(path):
+def _read_idx(path, magic: int, num_dims: int) -> np.ndarray:
+    """The uint8 payload of an IDX file, optionally gzip-compressed, shaped by
+    its header: a big-endian u32 magic, num_dims u32 sizes, then the bytes."""
     with open(path, "rb") as probe:
-        head = probe.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_be32(f, path) -> int:
-    data = f.read(4)
-    if len(data) != 4:
-        raise TruncatedFileError(f"{path}: file ended inside header")
-    return struct.unpack(">I", data)[0]
-
-
-def _read_idx(path, magic: int, num_dims: int):
-    """Check an IDX file's magic; return its header sizes and the payload."""
+        gzipped = probe.read(2) == b"\x1f\x8b"
     try:
-        with _open_maybe_gzip(path) as f:
-            found = _read_be32(f, path)
-            if found != magic:
-                raise DataFormatError(
-                    f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}"
-                )
-            dims = [_read_be32(f, path) for _ in range(num_dims)]
+        with (gzip.open if gzipped else open)(path, "rb") as f:
+            head = f.read(4)
+            found = int.from_bytes(head, "big")
+            if len(head) == 4 and found != magic:
+                raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+            head += f.read(4 * num_dims)
             payload = f.read()
     except EOFError as exc:  # the gzip stream ends before its end marker
         raise TruncatedFileError(f"{path}: compressed data ended early ({exc})") from exc
     except (gzip.BadGzipFile, zlib.error) as exc:
         raise DataFormatError(f"{path}: corrupt gzip data ({exc})") from exc
-    return dims, payload
+    if len(head) != 4 * (1 + num_dims):
+        raise TruncatedFileError(f"{path}: file ended inside header")
+    dims = struct.unpack(f">{num_dims}I", head[4:])
+    size = math.prod(dims)
+    if len(payload) < size:
+        raise TruncatedFileError(f"{path}: expected {size} payload bytes, found {len(payload)}")
+    if math.prod(dims[1:]) * 8 > np.iinfo(np.intp).max:  # only reachable with 0 items
+        raise DataFormatError(f"{path}: items of shape {dims[1:]} exceed numpy's array size limit")
+    return np.frombuffer(payload[:size], dtype=np.uint8).reshape(dims)
 
 
 def load_idx_images(path) -> np.ndarray:
-    # IDX image format (big endian):
-    # u32   magic = 0x00000803
-    # u32   image count
-    # u32   rows
-    # u32   cols
-    # u8[]  pixels, row-major
-    (count, rows, cols), payload = _read_idx(path, IDX_IMAGE_MAGIC, 3)
-    expected = count * rows * cols
-    if len(payload) < expected:
-        raise TruncatedFileError(
-            f"{path}: expected {expected} pixel bytes, found {len(payload)}"
-        )
-    if rows * cols * 8 > np.iinfo(np.intp).max:  # only reachable with 0 images
-        raise DataFormatError(f"{path}: {rows}x{cols} images exceed numpy's array size limit")
-    pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
-    return pixels.reshape(count, 1, rows, cols).astype(np.float64) / 255.0
+    """[count, 1, rows, cols] pixels in [0, 1] from an IDX image file (magic 0x00000803)."""
+    return _read_idx(path, IDX_IMAGE_MAGIC, 3)[:, None].astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
-    # IDX label format (big endian):
-    # u32   magic = 0x00000801
-    # u32   label count
-    # u8[]  labels
-    (count,), payload = _read_idx(path, IDX_LABEL_MAGIC, 1)
-    if len(payload) < count:
-        raise TruncatedFileError(f"{path}: expected {count} label bytes, found {len(payload)}")
-    return np.frombuffer(payload[:count], dtype=np.uint8).astype(np.int64)
+    """int64 labels from an IDX label file (magic 0x00000801)."""
+    return _read_idx(path, IDX_LABEL_MAGIC, 1).astype(np.int64)
 
 
 _IDX_NAMES = {
@@ -178,9 +178,8 @@ def find_idx_file(data_dir, dataset: str, kind: str):
 
 def load_idx_dataset(data_dir, dataset: str, split: str, num_classes: int = 10) -> Dataset:
     """Load one split ("train" or "test") of mnist/fashion from IDX files."""
-    img_key, lab_key = (
-        ("train_images", "train_labels") if split == "train" else ("test_images", "test_labels")
-    )
+    _require("split", split, _one_of(("train", "test")))
+    img_key, lab_key = f"{split}_images", f"{split}_labels"
     img_path = find_idx_file(data_dir, dataset, img_key)
     lab_path = find_idx_file(data_dir, dataset, lab_key)
     if img_path is None or lab_path is None:
@@ -206,10 +205,8 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float, seed
     largest-remainder rule so every sample lands exactly once. Empty
     shards are allowed, not an error.
     """
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require("num_clients", num_clients, _COUNT)
+    _require("alpha", alpha, _POSITIVE)
     labels = _int64(labels, "labels")
     num_classes = int(labels.max(initial=-1)) + 1
     _labels(labels, num_classes)  # only a negative label is outside
@@ -263,10 +260,10 @@ def blob_anchors(num_classes: int, dim: int) -> np.ndarray:
 
 def synthetic_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed) -> Dataset:
     """Gaussian blobs around per-class anchors; fully seed-deterministic."""
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if spread < 0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
+    _require("num_classes", num_classes, _CLASS_COUNT)
+    _require("dim", dim, _COUNT)
+    _require("per_class", per_class, _COUNT)
+    _require("spread", spread, _NON_NEGATIVE)
     anchors = blob_anchors(num_classes, dim)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((num_classes * per_class, dim)) * spread

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _int64, _labels
+from .data import _COUNT, Dataset, _int64, _labels, _one_of, _require
 from .errors import DimensionError, EmptyPrototypesError
 from .nn import ModelParams, model_forward
 from .parallel import _fork_map
@@ -16,6 +16,7 @@ from .prototypes import GlobalPrototypeSet
 _EVAL_CHUNK = 512
 
 EVAL_MODES = ("softmax", "prototype", "both")
+_EVAL_MODE = _one_of(EVAL_MODES)
 
 
 @dataclass
@@ -61,12 +62,10 @@ def evaluate_accuracy(
     embedding. Both break ties to the lowest class index, and a class
     without a prototype is never predicted.
     """
-    if mode not in EVAL_MODES:
-        raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+    _require("mode", mode, _EVAL_MODE)
     if not len(testset):
         raise ValueError("cannot evaluate on an empty test set")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    _require("chunk", chunk, _COUNT)
     want_softmax = mode in ("softmax", "both")
     want_proto = mode in ("prototype", "both")
     if want_proto and (protos is None or not len(protos)):

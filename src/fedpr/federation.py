@@ -11,16 +11,17 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import data as datamod
-from .data import ClientShard, Dataset, _shard_indices
+from . import data as datamod, evaluation, nn, prototypes
+from .data import _CLASS_COUNT, _COUNT, _NON_NEGATIVE, _POSITIVE, ClientShard, Dataset, _one_of, _shard_indices
 from .errors import ConfigError, DimensionError, DivergenceError
-from .evaluation import EVAL_MODES, evaluate_accuracy
+from .evaluation import evaluate_accuracy
 from .nn import ModelParams, OptimizerState, build_cnn4, build_mlp2, loss_and_grad, sgd_momentum_step
 from .parallel import _fork_map
 from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_prototypes, compute_local_prototypes
@@ -30,8 +31,6 @@ log = logging.getLogger(__name__)
 STRATEGIES = ("fedavg", "fedpr")
 MODELS = ("cnn4", "mlp2")
 DATASETS = ("mnist", "fashion", "synthetic")
-AGG_DENOMINATORS = ("contributors", "all_clients")
-PROTO_LOSS_FORMS = ("squared", "unsquared")
 
 # Purpose tags for deriving independent RNG streams from the master seed.
 _STREAM_INIT = 1
@@ -71,11 +70,12 @@ class FederationConfig:
     synth_spread: float = 0.1
 
     def validate(self) -> "FederationConfig":
-        """Check the fields in _RULES order; the first that fails raises
-        ConfigError under its external name."""
-        for field, (ok, text) in _RULES:
+        """Check each field in _RULES order, its type and then its rule, and
+        under strategy=fedavg the forced values after eval_inference; the
+        first that fails raises ConfigError under its external name."""
+        for field, (test, text) in _checks(self.strategy):
             value = getattr(self, field)
-            if not ok(value, self):
+            if not test(value):
                 raise ConfigError(f"{CONFIG_NAMES[field]}: {text.format(value)}")
         return self
 
@@ -87,19 +87,6 @@ class FederationConfig:
 CONFIG_NAMES = {f.name: f.name for f in dataclasses.fields(FederationConfig)} | {"lam": "lambda", "master_seed": "seed"}
 
 
-# A rule is (ok(value, config), message format); the message gets the value.
-def _at_least(low: int):
-    return (lambda v, c: v >= low), f"must be >= {low}, got {{}}"
-
-
-def _one_of(choices: tuple):
-    return (lambda v, c: v in choices), f"must be one of {choices}, got {{!r}}"
-
-
-def _fedavg_forces(value, text: str):
-    return (lambda v, c: c.strategy != "fedavg" or v == value), text
-
-
 # What strategy=fedavg forces (FedPR with the prototype terms off), with the message for other values.
 _FEDAVG_FORCES = {
     "lam": (0.0, "strategy=fedavg forces lambda=0"),
@@ -107,35 +94,52 @@ _FEDAVG_FORCES = {
 }
 FEDAVG_VALUES = {field: value for field, (value, _) in _FEDAVG_FORCES.items()}
 
-_COUNT = _at_least(1)
-_POSITIVE = (lambda v, c: 0 < v < math.inf), "must be finite and > 0, got {}"
-_NON_NEGATIVE = (lambda v, c: 0 <= v < math.inf), "must be finite and >= 0, got {}"
-
-# Checked in this order, so a config with several faults names the same first one.
+# Each field's rule, in check order, so a config with several faults names the
+# same first one. A rule that a function also checks is that module's object.
 _RULES = (
     ("num_clients", _COUNT),
     ("rounds", _COUNT),
     ("local_epochs", _COUNT),
     ("batch_size", _COUNT),
     ("learning_rate", _POSITIVE),
-    ("momentum", (lambda v, c: 0 <= v < 1, "must be in [0, 1), got {}")),
+    ("momentum", nn._MOMENTUM),
     ("dirichlet_alpha", _POSITIVE),
     ("lam", _NON_NEGATIVE),
-    ("master_seed", (lambda v, c: v >= 0, "must be a non-negative integer, got {}")),
+    ("master_seed", ((lambda v: v >= 0), "must be a non-negative integer, got {}")),
     ("subsample_n", _COUNT),
     ("strategy", _one_of(STRATEGIES)),
     ("model", _one_of(MODELS)),
     ("dataset", _one_of(DATASETS)),
-    ("agg_denominator", _one_of(AGG_DENOMINATORS)),
-    ("proto_loss_form", _one_of(PROTO_LOSS_FORMS)),
-    ("eval_inference", _one_of(EVAL_MODES)),
-    *((field, _fedavg_forces(*forced)) for field, forced in _FEDAVG_FORCES.items()),
-    ("synth_classes", _at_least(2)),
+    ("agg_denominator", prototypes._DENOMINATOR),
+    ("support_weighted_protos", None),
+    ("proto_loss_form", nn._PROTO_FORM),
+    ("eval_inference", evaluation._EVAL_MODE),
+    ("synth_classes", _CLASS_COUNT),
     ("synth_dim", _COUNT),
     ("synth_per_class", _COUNT),
     ("synth_test_per_class", _COUNT),
     ("synth_spread", _NON_NEGATIVE),
 )
+
+# Each field's type rule, by its default's type. As in config files, an int is a
+# float and a bool no number. data_dir, a path, is not checked.
+_TYPES = {
+    int: ((lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)), "must be an integer, got {!r}"),
+    float: ((lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "must be a number, got {!r}"),
+    bool: ((lambda v: isinstance(v, bool)), "must be true or false, got {!r}"),
+    str: ((lambda v: isinstance(v, str)), "must be a string, got {!r}"),
+}
+
+
+def _checks(strategy: str):
+    """(field, rule) in the order validate applies them."""
+    for field, rule in _RULES:
+        yield field, _TYPES[type(getattr(FederationConfig, field))]
+        if rule is not None:
+            yield field, rule
+        if field == "eval_inference" and strategy == "fedavg":
+            for forced, (value, text) in _FEDAVG_FORCES.items():
+                yield forced, ((lambda v, value=value: v == value), text)
 
 
 @dataclass
@@ -228,7 +232,7 @@ def server_weighted_average(updates: Sequence[tuple[ModelParams, float]]) -> Mod
             raise ValueError(f"update {i} has weight {weight}; weights must be finite and non-negative")
     total = float(sum(weight for _, weight in updates))
     if total <= 0:
-        raise ValueError(f"total update weight must be positive, got {total}")
+        raise ValueError(f"total update weight must be > 0, got {total}")
     reference = updates[0][0]
     out = None
     for params, weight in updates:

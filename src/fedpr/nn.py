@@ -15,8 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import _int64, _labels
+from .data import _NON_NEGATIVE, _POSITIVE, _int64, _labels, _one_of, _require
 from .errors import DimensionError, NumericError
+
+_MOMENTUM = (lambda v: 0 <= v < 1), "must be in [0, 1), got {}"
+_PROTO_FORM = _one_of(("squared", "unsquared"))
 
 _LAYER_KINDS = ("dense", "conv")
 
@@ -151,10 +154,8 @@ class OptimizerState:
     momentum: float
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        _require("learning_rate", self.learning_rate, _POSITIVE)
+        _require("momentum", self.momentum, _MOMENTUM)
 
     @classmethod
     def zeros(cls, params: ModelParams, learning_rate: float, momentum: float) -> "OptimizerState":
@@ -594,10 +595,8 @@ def loss_and_grad(
         raise TypeError(
             f"global_protos must be a GlobalPrototypeSet or None, got {type(global_protos).__name__}"
         )
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    if proto_form not in ("squared", "unsquared"):
-        raise ValueError(f"unknown proto_form {proto_form!r}")
+    _require("lam", lam, _NON_NEGATIVE)
+    _require("proto_form", proto_form, _PROTO_FORM)
     labels = _int64(labels, "labels")
     emb, logits, caches = _forward_cached(params, batch)
     ce_loss, dlogits = softmax_cross_entropy(logits, labels)
@@ -637,8 +636,7 @@ def finite_diff_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of loss_fn over every scalar parameter,
     laid out like params.vector."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require("eps", eps, _POSITIVE)
     work = params.copy()
     flat = work.vector
     grad = np.zeros_like(flat)

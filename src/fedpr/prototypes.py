@@ -9,11 +9,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _int64, _shard_indices
+from .data import ClientShard, Dataset, _int64, _one_of, _require, _shard_indices
 from .errors import DataFormatError, DimensionError
 from .nn import ModelParams, model_forward
 
 _EVAL_CHUNK = 256
+_DENOMINATOR = _one_of(("contributors", "all_clients"))
 
 
 class LocalPrototypes(NamedTuple):
@@ -49,8 +50,9 @@ class GlobalPrototypeSet:
     @classmethod
     def from_vectors(cls, vectors) -> "GlobalPrototypeSet":
         """One single-contributor prototype per {class: vector} item."""
-        items = sorted(((int(j), v) for j, v in vectors.items()), key=lambda item: item[0])
-        return cls([j for j, _ in items], [v for _, v in items], [1] * len(items))
+        keys = list(vectors)
+        order = np.argsort(_int64(keys, "classes"), kind="stable")
+        return cls([keys[i] for i in order], [vectors[keys[i]] for i in order], [1] * len(keys))
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -168,8 +170,7 @@ def aggregate_global_prototypes(
     The sets are folded in the order given (run_round: client-id order),
     which sets the low bits.
     """
-    if denominator not in ("contributors", "all_clients"):
-        raise ValueError(f"unknown denominator {denominator!r}")
+    _require("denominator", denominator, _DENOMINATOR)
     client_list = [LocalPrototypes(*_prototype_arrays(*p, "support")) for p in all_client_prototypes]
     dim = next((p.vectors.shape[1] for p in client_list if len(p.classes)), 0)
     for p in client_list:

@@ -231,6 +231,54 @@ def test_config_with_several_faults_names_the_first_in_check_order():
         assert str(info.value) == message
 
 
+# A value whose type is not its field's default's fails by name, as the
+# config file reader would refuse it: an int field takes no bool or float,
+# a float field takes an int, the bool field only a bool.
+CONFIG_TYPE_FAULTS = [
+    ("learning_rate", "0.1", "learning_rate: must be a number, got '0.1'"),
+    ("support_weighted_protos", "no", "support_weighted_protos: must be true or false, got 'no'"),
+    ("support_weighted_protos", 1, "support_weighted_protos: must be true or false, got 1"),
+    ("num_clients", 2.5, "num_clients: must be an integer, got 2.5"),
+    ("num_clients", True, "num_clients: must be an integer, got True"),
+    ("synth_dim", 8.0, "synth_dim: must be an integer, got 8.0"),
+    ("lam", True, "lambda: must be a number, got True"),
+    ("strategy", 1, "strategy: must be a string, got 1"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", CONFIG_TYPE_FAULTS)
+def test_a_value_of_another_type_fails_by_name(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        FederationConfig(**{field: value}).validate()
+    assert str(info.value) == message
+
+
+def test_a_float_field_takes_an_int():
+    assert FederationConfig(learning_rate=1, lam=2, synth_spread=0).validate().learning_rate == 1
+
+
+@pytest.mark.parametrize(
+    "faults,message",
+    [
+        (dict(num_clients=2.5, rounds=0), "num_clients: must be an integer, got 2.5"),
+        (dict(rounds=0, learning_rate="0.1"), "rounds: must be >= 1, got 0"),
+        (dict(learning_rate="0.1", momentum=1.0), "learning_rate: must be a number, got '0.1'"),
+        (
+            dict(agg_denominator="x", support_weighted_protos="no"),
+            "agg_denominator: must be one of ('contributors', 'all_clients'), got 'x'",
+        ),
+        (
+            dict(support_weighted_protos="no", proto_loss_form="x"),
+            "support_weighted_protos: must be true or false, got 'no'",
+        ),
+    ],
+)
+def test_a_type_fault_is_reported_at_its_fields_place_in_check_order(faults, message):
+    with pytest.raises(ConfigError) as info:
+        FederationConfig(**faults).validate()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "faults,message",
     [

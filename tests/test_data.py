@@ -16,6 +16,7 @@ from fedpr.data import (
     class_counts,
     dirichlet_partition,
     find_idx_file,
+    load_idx_dataset,
     load_idx_images,
     load_idx_labels,
     subsample,
@@ -47,6 +48,10 @@ NOT_INTEGER = [
                  id="prototype-classes"),
     pytest.param(lambda: aggregate_global_prototypes([([0], [[1.0]], [2.5])]), r"support\[0\] = 2.5",
                  id="prototype-support"),
+    pytest.param(lambda: GlobalPrototypeSet.from_vectors({1.5: [1.0]}), r"classes\[0\] = 1.5",
+                 id="from-vectors-key"),
+    pytest.param(lambda: GlobalPrototypeSet.from_vectors({0: [1.0], np.float64(2.7): [1.0]}), r"classes\[1\] = 2.7",
+                 id="from-vectors-numpy-key"),
 ]
 
 
@@ -169,6 +174,15 @@ def test_truncated_image_payload(tmp_path):
         f.write(b"\x00" * 10)  # needs 32 bytes
     with pytest.raises(TruncatedFileError, match="expected 32"):
         load_idx_images(path)
+
+
+def test_an_unknown_split_fails_by_name_with_the_test_files_present(tmp_path):
+    write_idx_images(tmp_path / "t10k-images-idx3-ubyte", np.zeros((2, 2, 2), dtype=np.uint8))
+    write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", [0, 1])
+    assert len(load_idx_dataset(tmp_path, "mnist", "test")) == 2
+    with pytest.raises(ValueError) as info:
+        load_idx_dataset(tmp_path, "mnist", "validation")
+    assert str(info.value) == "split must be one of ('train', 'test'), got 'validation'"
 
 
 def test_truncated_header(tmp_path):

@@ -181,9 +181,9 @@ NAMED_ERRORS = [
     pytest.param(lambda: model_forward(build_cnn4(np.random.default_rng(0)), np.zeros((2, 784))), DimensionError,
                  r"conv layer 'conv1': input must be \[batch, C, H, W\], got \(2, 784\)", id="conv-layer-2d-input"),
     pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((1, 6)), [0], None, -0.5), ValueError,
-                 "lam must be non-negative, got -0.5", id="loss-negative-lam"),
+                 "lam must be finite and >= 0, got -0.5", id="loss-negative-lam"),
     pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((1, 6)), [0], None, 1.0, "cubed"), ValueError,
-                 "unknown proto_form 'cubed'", id="loss-unknown-proto-form"),
+                 r"proto_form must be one of \('squared', 'unsquared'\), got 'cubed'", id="loss-unknown-proto-form"),
     pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((2, 6)), [0, 1.5]), DataFormatError,
                  r"labels\[1\] = 1.5 is not an integer", id="loss-fractional-label"),
 ]
