@@ -113,8 +113,9 @@ def parse_config(path=None, overrides=None) -> FederationConfig:
 
 
 def config_external_dict(cfg: FederationConfig) -> dict:
-    """Resolved config under external key names, in canonical key order."""
-    return {key: getattr(cfg, field) for field, key in CONFIG_NAMES.items()}
+    """Resolved config under external key names, in canonical key order, each
+    value as its field's type: lambda=1 reads 1.0, a numpy integer a plain int."""
+    return {key: type(getattr(FederationConfig, field))(getattr(cfg, field)) for field, key in CONFIG_NAMES.items()}
 
 
 def config_hash(cfg: FederationConfig) -> str:
@@ -128,8 +129,6 @@ def config_hash(cfg: FederationConfig) -> str:
 def _canonical_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import gzip
 import math
+import numbers
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -47,28 +49,38 @@ def _labels(values, num_classes: int) -> np.ndarray:
     return labels
 
 
-# A parameter rule is (test(value), message), the message formatted with the
-# value. The function that uses a parameter owns its rule, and
-# FederationConfig.validate reads the same object.
+# A parameter rule is a tuple of (test(value), message) steps, each message
+# formatted with the value; the first step checks the type, and _require
+# names the first step that fails. The function that uses a parameter owns
+# its rule, and FederationConfig.validate reads the same object. As in
+# config files, an integer is a number and a bool is neither.
+_INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)), "must be an integer, got {!r}"
+_NUMBER = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "must be a number, got {!r}"
+_BOOL = (lambda v: isinstance(v, bool)), "must be true or false, got {!r}"
+_TEXT = (lambda v: isinstance(v, str)), "must be a string, got {!r}"
+_PATH = (lambda v: isinstance(v, (str, os.PathLike))), "must be a path, got {!r}"
+
+
 def _at_least(low: int):
-    return (lambda v: v >= low), f"must be >= {low}, got {{}}"
+    return _INTEGER, ((lambda v: v >= low), f"must be >= {low}, got {{}}")
 
 
 def _one_of(choices: tuple):
-    return (lambda v: v in choices), f"must be one of {choices}, got {{!r}}"
+    return _TEXT, ((lambda v: v in choices), f"must be one of {choices}, got {{!r}}")
 
 
 _COUNT = _at_least(1)
-_POSITIVE = (lambda v: 0 < v < math.inf), "must be finite and > 0, got {}"
-_NON_NEGATIVE = (lambda v: 0 <= v < math.inf), "must be finite and >= 0, got {}"
+_POSITIVE = _NUMBER, ((lambda v: 0 < v < math.inf), "must be finite and > 0, got {}")
+_NON_NEGATIVE = _NUMBER, ((lambda v: 0 <= v < math.inf), "must be finite and >= 0, got {}")
 _CLASS_COUNT = _at_least(2)
+_DIRECTORY = (_PATH,)
 
 
 def _require(name: str, value, rule) -> None:
-    """Raise ValueError naming the parameter if value breaks its rule."""
-    test, message = rule
-    if not test(value):
-        raise ValueError(f"{name} {message.format(value)}")
+    """Raise ValueError naming the parameter at the first step of its rule that value fails."""
+    for test, message in rule:
+        if not test(value):
+            raise ValueError(f"{name} {message.format(value)}")
 
 
 @dataclass
@@ -178,6 +190,7 @@ def find_idx_file(data_dir, dataset: str, kind: str):
 
 def load_idx_dataset(data_dir, dataset: str, split: str, num_classes: int = 10) -> Dataset:
     """Load one split ("train" or "test") of mnist/fashion from IDX files."""
+    _require("data_dir", data_dir, _DIRECTORY)
     _require("split", split, _one_of(("train", "test")))
     img_key, lab_key = f"{split}_images", f"{split}_labels"
     img_path = find_idx_file(data_dir, dataset, img_key)
@@ -192,6 +205,7 @@ def load_idx_dataset(data_dir, dataset: str, split: str, num_classes: int = 10) 
 
 def subsample(dataset: Dataset, n: int, seed) -> Dataset:
     """Uniform sample of n items without replacement, deterministic by seed."""
+    _require("n", n, (_INTEGER,))
     if not 0 <= n <= len(dataset):
         raise ValueError(f"cannot subsample {n} items from dataset of {len(dataset)}")
     picked = np.random.default_rng(seed).permutation(len(dataset))[:n]

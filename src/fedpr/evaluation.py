@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _COUNT, Dataset, _int64, _labels, _one_of, _require
+from .data import _COUNT, _INTEGER, Dataset, _int64, _labels, _one_of, _require
 from .errors import DimensionError, EmptyPrototypesError
 from .nn import ModelParams, model_forward
 from .parallel import _fork_map
@@ -95,6 +95,7 @@ def evaluate_accuracy(
 
 def last_k_mean(records, k: int, field: str) -> float:
     """Arithmetic mean of one accuracy/loss field over the final k records."""
+    _require("k", k, (_INTEGER,))
     if k < 1 or k > len(records):
         raise ValueError(f"k={k} out of range for {len(records)} records")
     values = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,9 +69,9 @@ class FederationConfig:
     synth_spread: float = 0.1
 
     def validate(self) -> "FederationConfig":
-        """Check each field in _RULES order, its type and then its rule, and
-        under strategy=fedavg the forced values after eval_inference; the
-        first that fails raises ConfigError under its external name."""
+        """Check each field's rule step by step in _RULES order, and under
+        strategy=fedavg the forced values after eval_inference; the first
+        step that fails raises ConfigError under its external name."""
         for field, (test, text) in _checks(self.strategy):
             value = getattr(self, field)
             if not test(value):
@@ -95,7 +94,8 @@ _FEDAVG_FORCES = {
 FEDAVG_VALUES = {field: value for field, (value, _) in _FEDAVG_FORCES.items()}
 
 # Each field's rule, in check order, so a config with several faults names the
-# same first one. A rule that a function also checks is that module's object.
+# same first one; its first step checks the type. A rule that a function also
+# checks is that module's object.
 _RULES = (
     ("num_clients", _COUNT),
     ("rounds", _COUNT),
@@ -105,13 +105,14 @@ _RULES = (
     ("momentum", nn._MOMENTUM),
     ("dirichlet_alpha", _POSITIVE),
     ("lam", _NON_NEGATIVE),
-    ("master_seed", ((lambda v: v >= 0), "must be a non-negative integer, got {}")),
+    ("master_seed", (datamod._INTEGER, ((lambda v: v >= 0), "must be a non-negative integer, got {}"))),
     ("subsample_n", _COUNT),
     ("strategy", _one_of(STRATEGIES)),
     ("model", _one_of(MODELS)),
     ("dataset", _one_of(DATASETS)),
+    ("data_dir", datamod._DIRECTORY),
     ("agg_denominator", prototypes._DENOMINATOR),
-    ("support_weighted_protos", None),
+    ("support_weighted_protos", prototypes._SUPPORT_WEIGHTED),
     ("proto_loss_form", nn._PROTO_FORM),
     ("eval_inference", evaluation._EVAL_MODE),
     ("synth_classes", _CLASS_COUNT),
@@ -121,22 +122,12 @@ _RULES = (
     ("synth_spread", _NON_NEGATIVE),
 )
 
-# Each field's type rule, by its default's type. As in config files, an int is a
-# float and a bool no number. data_dir, a path, is not checked.
-_TYPES = {
-    int: ((lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)), "must be an integer, got {!r}"),
-    float: ((lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "must be a number, got {!r}"),
-    bool: ((lambda v: isinstance(v, bool)), "must be true or false, got {!r}"),
-    str: ((lambda v: isinstance(v, str)), "must be a string, got {!r}"),
-}
-
 
 def _checks(strategy: str):
-    """(field, rule) in the order validate applies them."""
+    """(field, step) in the order validate applies them."""
     for field, rule in _RULES:
-        yield field, _TYPES[type(getattr(FederationConfig, field))]
-        if rule is not None:
-            yield field, rule
+        for step in rule:
+            yield field, step
         if field == "eval_inference" and strategy == "fedavg":
             for forced, (value, text) in _FEDAVG_FORCES.items():
                 yield forced, ((lambda v, value=value: v == value), text)

@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import _NON_NEGATIVE, _POSITIVE, _int64, _labels, _one_of, _require
+from .data import _NON_NEGATIVE, _NUMBER, _POSITIVE, _int64, _labels, _one_of, _require
 from .errors import DimensionError, NumericError
 
-_MOMENTUM = (lambda v: 0 <= v < 1), "must be in [0, 1), got {}"
+_MOMENTUM = _NUMBER, ((lambda v: 0 <= v < 1), "must be in [0, 1), got {}")
 _PROTO_FORM = _one_of(("squared", "unsquared"))
 
 _LAYER_KINDS = ("dense", "conv")

@@ -9,12 +9,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _int64, _one_of, _require, _shard_indices
+from .data import _BOOL, ClientShard, Dataset, _int64, _one_of, _require, _shard_indices
 from .errors import DataFormatError, DimensionError
 from .nn import ModelParams, model_forward
 
 _EVAL_CHUNK = 256
 _DENOMINATOR = _one_of(("contributors", "all_clients"))
+_SUPPORT_WEIGHTED = (_BOOL,)
 
 
 class LocalPrototypes(NamedTuple):
@@ -171,6 +172,7 @@ def aggregate_global_prototypes(
     which sets the low bits.
     """
     _require("denominator", denominator, _DENOMINATOR)
+    _require("support_weighted", support_weighted, _SUPPORT_WEIGHTED)
     client_list = [LocalPrototypes(*_prototype_arrays(*p, "support")) for p in all_client_prototypes]
     dim = next((p.vectors.shape[1] for p in client_list if len(p.classes)), 0)
     for p in client_list:

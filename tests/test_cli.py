@@ -383,6 +383,19 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(c)
 
 
+@pytest.mark.parametrize(
+    "given,declared",
+    [(dict(lam=1), dict(lam=1.0)), (dict(rounds=np.int64(1)), dict(rounds=1))],
+    ids=["int-lambda", "numpy-rounds"],
+)
+def test_a_value_is_hashed_and_recorded_as_its_fields_type(given, declared):
+    # The two configs run alike, so they hash and record alike.
+    records = [RoundRecord(1, 0.5, 0.25, 0.75)]
+    a, b = FederationConfig(**given).validate(), FederationConfig(**declared).validate()
+    assert config_hash(a) == config_hash(b)
+    assert json.dumps(build_artifact(a, records)) == json.dumps(build_artifact(b, records))
+
+
 # --- CSV --------------------------------------------------------------------
 
 

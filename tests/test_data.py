@@ -345,6 +345,12 @@ def test_subsample_too_large_rejected():
         subsample(ds, -1, seed=0)
 
 
+def test_subsample_size_must_be_an_integer():
+    ds = Dataset(np.zeros((5, 2)), np.zeros(5, dtype=np.int64), 1)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 1\.5$"):
+        subsample(ds, 1.5, seed=0)
+
+
 def test_subsample_class_proportions_track_parent():
     # Uniform sampling without replacement: each class's sampled share
     # should stay near its parent share (hypergeometric concentration).

@@ -233,6 +233,11 @@ def test_last_k_mean_k_too_large():
         last_k_mean([record(1, 0.5)], 2, "test_accuracy_softmax")
 
 
+def test_last_k_mean_k_must_be_an_integer():
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.5$"):
+        last_k_mean([record(1, 0.5), record(2, 0.6)], 1.5, "test_accuracy_softmax")
+
+
 def test_last_k_mean_absent_field_rejected():
     records = [record(1, 0.5), record(2, 0.6)]
     with pytest.raises(ValueError, match="absent"):

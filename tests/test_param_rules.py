@@ -2,6 +2,7 @@
 value: the function and FederationConfig.validate read the same rule object
 and refuse the same values with the same text."""
 
+import dataclasses
 import math
 from operator import attrgetter
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import fedpr
-from fedpr import federation
-from fedpr.data import Dataset, dirichlet_partition, synthetic_blobs
+from fedpr import data, federation
+from fedpr.data import Dataset, dirichlet_partition, load_idx_dataset, synthetic_blobs
 from fedpr.errors import ConfigError
 from fedpr.evaluation import evaluate_accuracy
 from fedpr.federation import FederationConfig
@@ -84,7 +85,51 @@ SHARED_RULES = [
 ]
 
 
-@pytest.mark.parametrize("field,owner,call,param,value,message", SHARED_RULES)
+# A value of the wrong type for each shared rule: a float or bool count, a
+# string or bool number, a choice that is not a string, a flag that is a
+# string, a path that is None. The type step comes first, so its text is the
+# one both sides give. chunk has no config field; it reads the rule
+# batch_size reads.
+WRONG_TYPES = [
+    _row("num_clients", "data._COUNT", lambda v: dirichlet_partition([0, 1], v, 0.5, seed=0), "num_clients", 2.5,
+         "num_clients: must be an integer, got 2.5"),
+    _row("dirichlet_alpha", "data._POSITIVE", _partition, "alpha", "0.5",
+         "dirichlet_alpha: must be a number, got '0.5'"),
+    _row("synth_classes", "data._CLASS_COUNT", lambda v: synthetic_blobs(v, 3, 2, 0.1, seed=0), "num_classes", 2.0,
+         "synth_classes: must be an integer, got 2.0"),
+    _row("synth_dim", "data._COUNT", lambda v: synthetic_blobs(2, v, 2, 0.1, seed=0), "dim", 8.0,
+         "synth_dim: must be an integer, got 8.0"),
+    _row("synth_per_class", "data._COUNT", lambda v: synthetic_blobs(2, 3, v, 0.1, seed=0), "per_class", True,
+         "synth_per_class: must be an integer, got True"),
+    _row("synth_spread", "data._NON_NEGATIVE", lambda v: synthetic_blobs(2, 3, 2, v, seed=0), "spread", True,
+         "synth_spread: must be a number, got True"),
+    _row("data_dir", "data._DIRECTORY", lambda v: load_idx_dataset(v, "mnist", "train"), "data_dir", None,
+         "data_dir: must be a path, got None"),
+    _row("learning_rate", "nn._POSITIVE", lambda v: OptimizerState.zeros(MLP, v, 0.5), "learning_rate", "0.1",
+         "learning_rate: must be a number, got '0.1'"),
+    _row("momentum", "nn._MOMENTUM", lambda v: OptimizerState.zeros(MLP, 0.1, v), "momentum", False,
+         "momentum: must be a number, got False"),
+    _row("lam", "nn._NON_NEGATIVE", lambda v: loss_and_grad(MLP, X, Y, None, v), "lam", "1",
+         "lambda: must be a number, got '1'"),
+    _row("proto_loss_form", "nn._PROTO_FORM", lambda v: loss_and_grad(MLP, X, Y, None, 1.0, v), "proto_form", 1,
+         "proto_loss_form: must be a string, got 1"),
+    _row("learning_rate", "nn._POSITIVE", lambda v: finite_diff_gradient(lambda p: 0.0, MLP, v), "eps", True,
+         "learning_rate: must be a number, got True"),
+    _row("agg_denominator", "prototypes._DENOMINATOR", lambda v: aggregate_global_prototypes([], denominator=v),
+         "denominator", 1, "agg_denominator: must be a string, got 1"),
+    _row("support_weighted_protos", "prototypes._SUPPORT_WEIGHTED",
+         lambda v: aggregate_global_prototypes([], support_weighted=v), "support_weighted", "no",
+         "support_weighted_protos: must be true or false, got 'no'"),
+    _row("eval_inference", "evaluation._EVAL_MODE",
+         lambda v: evaluate_accuracy(MLP, None, Dataset(X, Y, 3), v), "mode", 1,
+         "eval_inference: must be a string, got 1"),
+    _row("batch_size", "evaluation._COUNT",
+         lambda v: evaluate_accuracy(MLP, None, Dataset(X, Y, 3), "softmax", chunk=v), "chunk", 2.5,
+         "batch_size: must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("field,owner,call,param,value,message", SHARED_RULES + WRONG_TYPES)
 def test_the_function_and_the_config_refuse_a_value_with_one_text(field, owner, call, param, value, message):
     with pytest.raises(ValueError) as info:
         call(value)
@@ -98,6 +143,15 @@ def test_the_function_and_the_config_refuse_a_value_with_one_text(field, owner, 
 def test_each_shared_field_reads_its_owners_rule_object():
     # A second copy of a rule in federation would be another object.
     rules = dict(federation._RULES)
-    for row in SHARED_RULES:
+    for row in SHARED_RULES + WRONG_TYPES:
         field, owner = row.values[:2]
         assert rules[field] is attrgetter(owner)(fedpr), (field, owner)
+
+
+def test_every_config_field_has_one_rule_that_checks_its_type_first():
+    fields = [field for field, _ in federation._RULES]
+    assert len(fields) == len(set(fields))
+    assert set(fields) == {f.name for f in dataclasses.fields(FederationConfig)}
+    type_steps = (data._INTEGER, data._NUMBER, data._BOOL, data._TEXT, data._PATH)
+    for field, rule in federation._RULES:
+        assert any(rule[0] is step for step in type_steps), field
