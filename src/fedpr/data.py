@@ -92,6 +92,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        _require("num_classes", self.num_classes, _COUNT)
         self.images = np.asarray(self.images, dtype=np.float64)
         self.labels = _labels(self.labels, self.num_classes)
         if self.labels.ndim != 1 or len(self.images) != len(self.labels):
@@ -258,6 +259,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def class_counts(shards, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """[N, C] matrix of per-client per-class sample counts."""
+    _require("num_classes", num_classes, _COUNT)
     labels = _labels(labels, num_classes)
     counts = np.zeros((len(shards), num_classes), dtype=np.int64)
     for row, shard in enumerate(shards):
@@ -267,6 +269,8 @@ def class_counts(shards, labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def blob_anchors(num_classes: int, dim: int) -> np.ndarray:
     """Fixed non-negative unit anchor per class, independent of any seed."""
+    _require("num_classes", num_classes, _CLASS_COUNT)
+    _require("dim", dim, _COUNT)
     rng = np.random.default_rng([_ANCHOR_TAG, num_classes, dim])
     anchors = np.abs(rng.standard_normal((num_classes, dim)))
     return anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
@@ -274,11 +278,9 @@ def blob_anchors(num_classes: int, dim: int) -> np.ndarray:
 
 def synthetic_blobs(num_classes: int, dim: int, per_class: int, spread: float, seed) -> Dataset:
     """Gaussian blobs around per-class anchors; fully seed-deterministic."""
-    _require("num_classes", num_classes, _CLASS_COUNT)
-    _require("dim", dim, _COUNT)
+    anchors = blob_anchors(num_classes, dim)
     _require("per_class", per_class, _COUNT)
     _require("spread", spread, _NON_NEGATIVE)
-    anchors = blob_anchors(num_classes, dim)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((num_classes * per_class, dim)) * spread
     images = np.repeat(anchors, per_class, axis=0) + noise

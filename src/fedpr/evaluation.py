@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _COUNT, _INTEGER, Dataset, _int64, _labels, _one_of, _require
+from .data import _COUNT, _INTEGER, _TEXT, Dataset, _int64, _labels, _one_of, _require
 from .errors import DimensionError, EmptyPrototypesError
 from .nn import ModelParams, model_forward
 from .parallel import _fork_map
@@ -38,6 +38,7 @@ def _nearest_class(emb: np.ndarray, classes: np.ndarray, vectors: np.ndarray) ->
 
 def tally_predictions(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> int:
     """Number of predictions equal to their label."""
+    _require("num_classes", num_classes, _COUNT)
     predictions = _int64(predictions, "predictions")
     labels = _labels(labels, num_classes)
     if predictions.shape != labels.shape:
@@ -96,11 +97,12 @@ def evaluate_accuracy(
 def last_k_mean(records, k: int, field: str) -> float:
     """Arithmetic mean of one accuracy/loss field over the final k records."""
     _require("k", k, (_INTEGER,))
+    _require("field", field, (_TEXT,))
     if k < 1 or k > len(records):
         raise ValueError(f"k={k} out of range for {len(records)} records")
     values = []
     for record in records[-k:]:
-        value = getattr(record, field)
+        value = getattr(record, field, None)
         if value is None:
             raise ValueError(f"field {field!r} absent in round {record.round_index} record")
         values.append(value)

@@ -21,7 +21,7 @@ from . import data as datamod, evaluation, nn, prototypes
 from .data import _CLASS_COUNT, _COUNT, _NON_NEGATIVE, _POSITIVE, ClientShard, Dataset, _one_of, _shard_indices
 from .errors import ConfigError, DimensionError, DivergenceError
 from .evaluation import evaluate_accuracy
-from .nn import ModelParams, OptimizerState, build_cnn4, build_mlp2, loss_and_grad, sgd_momentum_step
+from .nn import CNN4_INPUT, ModelParams, OptimizerState, build_cnn4, build_mlp2, loss_and_grad, sgd_momentum_step
 from .parallel import _fork_map
 from .prototypes import GlobalPrototypeSet, LocalPrototypes, aggregate_global_prototypes, compute_local_prototypes
 
@@ -329,15 +329,15 @@ def partition_data(cfg: FederationConfig) -> tuple[Dataset, Dataset, list[Client
 
 
 def _as_images(dataset: Dataset, which: str) -> Dataset:
-    if dataset.images.ndim == 4:
+    """dataset with [n, *CNN4_INPUT] images; flat vectors of that size are reshaped."""
+    shape = dataset.images.shape
+    if shape[1:] == CNN4_INPUT:
         return dataset
-    if dataset.images.ndim == 2 and dataset.images.shape[1] == 28 * 28:
-        return Dataset(
-            dataset.images.reshape(-1, 1, 28, 28), dataset.labels, dataset.num_classes
-        )
+    if shape[1:] == (math.prod(CNN4_INPUT),):
+        return Dataset(dataset.images.reshape(-1, *CNN4_INPUT), dataset.labels, dataset.num_classes)
     raise ConfigError(
-        f"model: cnn4 needs [n,1,28,28] images (or flat 784 vectors); "
-        f"{which} data has shape {dataset.images.shape}"
+        f"model: cnn4 needs [n,{','.join(map(str, CNN4_INPUT))}] images "
+        f"(or flat {math.prod(CNN4_INPUT)} vectors); {which} data has shape {shape}"
     )
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import _NON_NEGATIVE, _NUMBER, _POSITIVE, _int64, _labels, _one_of, _require
+from .data import _COUNT, _NON_NEGATIVE, _NUMBER, _POSITIVE, _int64, _labels, _one_of, _require
 from .errors import DimensionError, NumericError
 
 _MOMENTUM = _NUMBER, ((lambda v: 0 <= v < 1), "must be in [0, 1), got {}")
@@ -658,81 +658,41 @@ def finite_diff_gradient(
 # ---------------------------------------------------------------------------
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _init_layer(rng: np.random.Generator, name: str, kind: str, weight_shape: tuple, **flags) -> LayerParams:
+    """A layer whose weight, then bias, are drawn from U(-b, b) with
+    b = 1/sqrt(fan_in), the fan-in being the inputs each output unit reads."""
+    bound = 1.0 / math.sqrt(math.prod(weight_shape[1:]))
+    weight = rng.uniform(-bound, bound, size=weight_shape)
+    bias = rng.uniform(-bound, bound, size=weight_shape[0])
+    return LayerParams(name, kind, weight, bias, **flags)
 
 
 def build_mlp2(rng: np.random.Generator, in_dim: int, num_classes: int, hidden: int = 128) -> ModelParams:
     """Two dense layers; the hidden ReLU activation is the embedding."""
+    _require("in_dim", in_dim, _COUNT)
+    _require("num_classes", num_classes, _COUNT)
+    _require("hidden", hidden, _COUNT)
     layers = [
-        LayerParams(
-            "fc1",
-            "dense",
-            _uniform_init(rng, (hidden, in_dim), in_dim),
-            _uniform_init(rng, (hidden,), in_dim),
-            relu=True,
-        ),
-        LayerParams(
-            "fc2",
-            "dense",
-            _uniform_init(rng, (num_classes, hidden), hidden),
-            _uniform_init(rng, (num_classes,), hidden),
-        ),
+        _init_layer(rng, "fc1", "dense", (hidden, in_dim), relu=True),
+        _init_layer(rng, "fc2", "dense", (num_classes, hidden)),
     ]
     return ModelParams(layers, extractor_boundary=1)
 
 
-def build_cnn4(
-    rng: np.random.Generator,
-    num_classes: int = 10,
-    in_channels: int = 1,
-    image_hw: int = 28,
-    conv_channels: tuple[int, int] = (10, 20),
-    embed_dim: int = 50,
-    kernel: int = 5,
-) -> ModelParams:
-    """Two conv+pool blocks and two dense layers; the 50-dim hidden
-    activation after fc1's ReLU is the embedding."""
-    size = image_hw
-    for _ in range(2):
-        size = size - kernel + 1
-        if size < 2 or size % 2:
-            raise DimensionError(
-                f"image size {image_hw} incompatible with {kernel}x{kernel} conv + 2x2 pool"
-            )
-        size //= 2
-    flat = conv_channels[1] * size * size
-    c1, c2 = conv_channels
+# The reference cnn4 reads [C, H, W] = 1x28x28 images: each 5x5 conv and
+# 2x2 pool takes 28 -> 24 -> 12, then 12 -> 8 -> 4, so fc1 reads 20*4*4.
+CNN4_INPUT = (1, 28, 28)
+
+
+def build_cnn4(rng: np.random.Generator, num_classes: int = 10) -> ModelParams:
+    """The reference conv net: two 5x5 conv + ReLU + 2x2 max-pool blocks of
+    10 and 20 channels over CNN4_INPUT images, then fc1 to 50 units with a
+    ReLU, whose activation is the embedding, and fc2 to the classes."""
+    _require("num_classes", num_classes, _COUNT)
     layers = [
-        LayerParams(
-            "conv1",
-            "conv",
-            _uniform_init(rng, (c1, in_channels, kernel, kernel), in_channels * kernel * kernel),
-            _uniform_init(rng, (c1,), in_channels * kernel * kernel),
-            relu=True,
-            pool=True,
-        ),
-        LayerParams(
-            "conv2",
-            "conv",
-            _uniform_init(rng, (c2, c1, kernel, kernel), c1 * kernel * kernel),
-            _uniform_init(rng, (c2,), c1 * kernel * kernel),
-            relu=True,
-            pool=True,
-        ),
-        LayerParams(
-            "fc1",
-            "dense",
-            _uniform_init(rng, (embed_dim, flat), flat),
-            _uniform_init(rng, (embed_dim,), flat),
-            relu=True,
-        ),
-        LayerParams(
-            "fc2",
-            "dense",
-            _uniform_init(rng, (num_classes, embed_dim), embed_dim),
-            _uniform_init(rng, (num_classes,), embed_dim),
-        ),
+        _init_layer(rng, "conv1", "conv", (10, CNN4_INPUT[0], 5, 5), relu=True, pool=True),
+        _init_layer(rng, "conv2", "conv", (20, 10, 5, 5), relu=True, pool=True),
+        _init_layer(rng, "fc1", "dense", (50, 20 * 4 * 4), relu=True),
+        _init_layer(rng, "fc2", "dense", (num_classes, 50)),
     ]
     return ModelParams(layers, extractor_boundary=3)

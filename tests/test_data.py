@@ -23,8 +23,8 @@ from fedpr.data import (
     synthetic_blobs,
 )
 from fedpr.errors import DataFormatError, DimensionError, LabelError, TruncatedFileError
-from fedpr.evaluation import tally_predictions
-from fedpr.federation import ClientState, FederationConfig, client_local_update
+from fedpr.evaluation import last_k_mean, tally_predictions
+from fedpr.federation import ClientState, FederationConfig, RoundRecord, client_local_update
 from fedpr.nn import build_mlp2, softmax_cross_entropy
 from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes, compute_local_prototypes
 from idx_files import write_idx_images, write_idx_labels
@@ -103,6 +103,8 @@ def mlp2():
 # first index at or past the dataset's end fails by name, where numpy would
 # raise a bare IndexError, mid-epoch in a local update. Predictions and
 # labels of different lengths fail too, where numpy would broadcast them.
+# So do a class count, anchor size or record field that is not one, before
+# any label or record is read.
 SIZE_MISMATCH = [
     pytest.param(lambda: class_counts([ClientShard(0, [0, 7])], THREE.labels, 3), DataFormatError,
                  "client 0: indices[1] = 7 is past the end of 3 samples", id="class-counts"),
@@ -113,6 +115,24 @@ SIZE_MISMATCH = [
                  DataFormatError, "client 2: indices[9] = 9 is past the end of 3 samples", id="local-update"),
     pytest.param(lambda: tally_predictions([1], [1, 1, 1], 2), DimensionError,
                  "predictions of shape (1,) but labels of shape (3,)", id="tally-lengths"),
+    pytest.param(lambda: Dataset(np.zeros((2, 3)), [0, 1], 2.5), ValueError,
+                 "num_classes must be an integer, got 2.5", id="dataset-fractional-classes"),
+    pytest.param(lambda: Dataset(np.zeros((2, 3)), [0, 1], True), ValueError,
+                 "num_classes must be an integer, got True", id="dataset-bool-classes"),
+    pytest.param(lambda: Dataset(np.zeros((0, 3)), [], 0), ValueError,
+                 "num_classes must be >= 1, got 0", id="dataset-no-classes"),
+    pytest.param(lambda: class_counts([ClientShard(0, [0, 1])], [0, 1], 2.5), ValueError,
+                 "num_classes must be an integer, got 2.5", id="class-counts-fractional-classes"),
+    pytest.param(lambda: tally_predictions([0, 1], [0, 1], 2.5), ValueError,
+                 "num_classes must be an integer, got 2.5", id="tally-fractional-classes"),
+    pytest.param(lambda: blob_anchors(2.5, 3), ValueError,
+                 "num_classes must be an integer, got 2.5", id="anchors-fractional-classes"),
+    pytest.param(lambda: blob_anchors(0, 3), ValueError, "num_classes must be >= 2, got 0", id="anchors-no-classes"),
+    pytest.param(lambda: blob_anchors(2, 0), ValueError, "dim must be >= 1, got 0", id="anchors-no-dim"),
+    pytest.param(lambda: last_k_mean([RoundRecord(1, 0.1, 0.5, None)], 1, "nope"), ValueError,
+                 "field 'nope' absent in round 1 record", id="last-k-unknown-field"),
+    pytest.param(lambda: last_k_mean([RoundRecord(1, 0.1, 0.5, None)], 1, 3), ValueError,
+                 "field must be a string, got 3", id="last-k-field-not-a-name"),
 ]
 
 

@@ -23,6 +23,7 @@ from fedpr.nn import (
     sgd_momentum_step,
 )
 from fedpr.prototypes import GlobalPrototypeSet
+from idx_files import write_idx_images, write_idx_labels
 
 
 def small_cfg(**overrides):
@@ -75,6 +76,25 @@ NAMED_ERRORS = [
 def test_each_named_error_is_raised_with_its_text(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_cnn4_refuses_images_of_another_size_at_set_up(tmp_path):
+    # Flat vectors of 784 are reshaped to 1x28x28; anything else, flat or
+    # already an image, fails before round 1 with the shape it found.
+    with pytest.raises(ConfigError) as info:
+        prepare_partition(small_cfg(model="cnn4"))
+    assert str(info.value) == (
+        "model: cnn4 needs [n,1,28,28] images (or flat 784 vectors); train data has shape (120, 8)"
+    )
+    rng = np.random.default_rng(0)
+    for split, n in (("train", 12), ("t10k", 6)):
+        write_idx_images(tmp_path / f"{split}-images-idx3-ubyte", rng.integers(0, 256, size=(n, 32, 32)))
+        write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte", rng.integers(0, 10, size=n))
+    with pytest.raises(ConfigError) as info:
+        prepare_partition(small_cfg(model="cnn4", dataset="mnist", data_dir=str(tmp_path), subsample_n=12))
+    assert str(info.value) == (
+        "model: cnn4 needs [n,1,28,28] images (or flat 784 vectors); train data has shape (12, 1, 32, 32)"
+    )
 
 
 # --- server averaging -------------------------------------------------------

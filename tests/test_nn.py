@@ -31,11 +31,24 @@ from fedpr.nn import (
     _conv2d_backward,
     _conv2d_cached,
     _forward_cached,
+    _init_layer,
     _maxpool2_backward,
     _maxpool2_cached,
     _prototype_pull,
 )
 from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes, compute_local_prototypes
+
+
+def small_cnn4(rng, num_classes):
+    """cnn4's four layers at test size, for 1x14x14 images: 3x3 convs of 2
+    and 3 channels (14 -> 12 -> 6, then 6 -> 4 -> 2) and a 5-dim embedding."""
+    layers = [
+        _init_layer(rng, "conv1", "conv", (2, 1, 3, 3), relu=True, pool=True),
+        _init_layer(rng, "conv2", "conv", (3, 2, 3, 3), relu=True, pool=True),
+        _init_layer(rng, "fc1", "dense", (5, 3 * 2 * 2), relu=True),
+        _init_layer(rng, "fc2", "dense", (num_classes, 5)),
+    ]
+    return ModelParams(layers, extractor_boundary=3)
 
 
 def max_rel_err(analytic, fd, floor=1e-6):
@@ -186,6 +199,16 @@ NAMED_ERRORS = [
                  r"proto_form must be one of \('squared', 'unsquared'\), got 'cubed'", id="loss-unknown-proto-form"),
     pytest.param(lambda: loss_and_grad(_mlp2(), np.zeros((2, 6)), [0, 1.5]), DataFormatError,
                  r"labels\[1\] = 1.5 is not an integer", id="loss-fractional-label"),
+    pytest.param(lambda: build_mlp2(np.random.default_rng(0), 6, 0), ValueError,
+                 "^num_classes must be >= 1, got 0$", id="mlp2-no-classes"),
+    pytest.param(lambda: build_mlp2(np.random.default_rng(0), 6.5, 3), ValueError,
+                 "^in_dim must be an integer, got 6.5$", id="mlp2-fractional-in-dim"),
+    pytest.param(lambda: build_mlp2(np.random.default_rng(0), 6, 3, hidden=0), ValueError,
+                 "^hidden must be >= 1, got 0$", id="mlp2-no-hidden-units"),
+    pytest.param(lambda: build_cnn4(np.random.default_rng(0), num_classes=0), ValueError,
+                 "^num_classes must be >= 1, got 0$", id="cnn4-no-classes"),
+    pytest.param(lambda: build_cnn4(np.random.default_rng(0), num_classes=True), ValueError,
+                 "^num_classes must be an integer, got True$", id="cnn4-bool-classes"),
 ]
 
 
@@ -467,7 +490,7 @@ def test_model_forward_identity_extractor_embeds_input():
 
 def test_model_forward_bitwise_deterministic():
     rng = np.random.default_rng(8)
-    params = build_cnn4(rng, num_classes=3, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
+    params = small_cnn4(rng, 3)
     x = np.random.default_rng(9).normal(size=(2, 1, 14, 14))
     emb1, logits1 = model_forward(params, x)
     emb2, logits2 = model_forward(params, x)
@@ -693,7 +716,7 @@ def test_loss_gradient_matches_finite_difference():
 
 def test_loss_gradient_conv_path_matches_finite_difference():
     rng = np.random.default_rng(15)
-    params = build_cnn4(rng, num_classes=3, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
+    params = small_cnn4(rng, 3)
     x = rng.normal(size=(2, 1, 14, 14)) * 0.5
     y = np.array([0, 2])
     protos = GlobalPrototypeSet.from_vectors({c: rng.normal(size=5) for c in range(3)})
@@ -720,7 +743,7 @@ def test_loss_gradient_unsquared_form_matches_finite_difference():
 def small_model(name, rng):
     if name == "mlp2":
         return build_mlp2(rng, 4, 3, hidden=6), rng.normal(size=(3, 4))
-    cnn4 = build_cnn4(rng, num_classes=3, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
+    cnn4 = small_cnn4(rng, 3)
     return cnn4, rng.normal(size=(3, 1, 14, 14)) * 0.5
 
 
@@ -853,7 +876,7 @@ def test_prototype_pull_skips_classes_outside_the_labels(proto_form):
 def test_loss_grads_match_loop_pull_bitwise(model, proto_form):
     rng = np.random.default_rng(26)
     if model == "cnn4":
-        params = build_cnn4(rng, num_classes=4, image_hw=14, conv_channels=(2, 3), embed_dim=5, kernel=3)
+        params = small_cnn4(rng, 4)
         x = rng.normal(size=(8, 1, 14, 14))
     else:
         params = build_mlp2(rng, 6, 4, hidden=9)
@@ -1053,7 +1076,3 @@ def test_mlp2_default_shapes():
     emb, logits = model_forward(params, np.zeros((3, 784)))
     assert emb.shape == (3, 128) and logits.shape == (3, 10)
 
-
-def test_cnn4_incompatible_image_size_raises():
-    with pytest.raises(DimensionError):
-        build_cnn4(np.random.default_rng(25), image_hw=9)
