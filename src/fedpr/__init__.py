@@ -17,6 +17,7 @@ from .federation import (
     FederationConfig,
     RoundRecord,
     client_local_update,
+    rounds,
     run_experiment,
     run_round,
     server_weighted_average,
@@ -69,6 +70,7 @@ __all__ = [
     "last_k_mean",
     "loss_and_grad",
     "model_forward",
+    "rounds",
     "run_experiment",
     "run_round",
     "server_weighted_average",

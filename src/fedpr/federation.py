@@ -357,13 +357,25 @@ def init_global_model(cfg: FederationConfig, train: Dataset) -> ModelParams:
     return build_mlp2(rng, in_dim, train.num_classes)
 
 
+def rounds(cfg: FederationConfig, train: Dataset, test: Dataset, shards: Sequence[ClientShard],
+           params: ModelParams, protos: GlobalPrototypeSet):
+    """Rounds protos.round_index + 1 to cfg.rounds from (params, protos),
+    yielding (params, protos, record) after each. That pair is the whole
+    state between rounds: continued from round k's pair, a run gives the
+    bits of an unbroken one. A caller may stop early and close the generator."""
+    clients = [ClientState(shard.client_id, shard) for shard in shards]
+    for t in range(protos.round_index + 1, cfg.rounds + 1):
+        params, protos, record = run_round(params, protos, clients, cfg, t, train, test)
+        yield params, protos, record
+
+
 def run_experiment(
     cfg: FederationConfig, progress: Callable[[RoundRecord, float], None] | None = None
 ) -> list[RoundRecord]:
     """Full training loop: T rounds from a fresh model and empty prototypes.
 
-    ``progress`` gets each round's record and its wall time in seconds;
-    the time is not part of the record, so records stay reproducible.
+    ``progress`` gets each round's record and the seconds the round took,
+    not those ``progress`` took; records hold no time, so they reproduce.
     """
     cfg.validate()
     train, test, shards = prepare_partition(cfg)
@@ -371,14 +383,11 @@ def run_experiment(
     if empty:
         log.info("clients with empty shards (skipped in averaging): %s", empty)
 
-    params = init_global_model(cfg, train)
-    protos = GlobalPrototypeSet.empty(0)
-    clients = [ClientState(shard.client_id, shard) for shard in shards]
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        start = time.perf_counter()
-        params, protos, record = run_round(params, protos, clients, cfg, t, train, test)
+    steps = rounds(cfg, train, test, shards, init_global_model(cfg, train), GlobalPrototypeSet.empty(0))
+    records, start = [], time.perf_counter()
+    for _, _, record in steps:
         records.append(record)
         if progress is not None:
             progress(record, time.perf_counter() - start)
+        start = time.perf_counter()
     return records

@@ -9,13 +9,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _BOOL, ClientShard, Dataset, _int64, _one_of, _require, _shard_indices
+from .data import _BOOL, ClientShard, Dataset, _at_least, _int64, _one_of, _require, _shard_indices
 from .errors import DataFormatError, DimensionError
 from .nn import ModelParams, model_forward
 
 _EVAL_CHUNK = 256
 _DENOMINATOR = _one_of(("contributors", "all_clients"))
 _SUPPORT_WEIGHTED = (_BOOL,)
+_ROUND_INDEX = _at_least(0)
 
 
 class LocalPrototypes(NamedTuple):
@@ -32,7 +33,8 @@ class GlobalPrototypeSet:
     """Aggregated prototypes for one round, in the form the loss and
     inference read: ascending distinct class ids, their vectors as the
     rows of a [k, d] matrix, and each class's contributor count. The
-    arrays are checked once, here, by _prototype_arrays."""
+    arrays are checked once, here, by _prototype_arrays; round_index is
+    the round that made the set, 0 before the first."""
 
     classes: np.ndarray
     vectors: np.ndarray
@@ -40,6 +42,7 @@ class GlobalPrototypeSet:
     round_index: int = 0
 
     def __post_init__(self):
+        _require("round_index", self.round_index, _ROUND_INDEX)
         self.classes, self.vectors, self.contributors = _prototype_arrays(
             self.classes, self.vectors, self.contributors, "contributor"
         )

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from fedpr import federation
 from fedpr.data import ClientShard, Dataset, synthetic_blobs
 from fedpr.errors import ConfigError, DimensionError, DivergenceError
 from fedpr.federation import (
@@ -10,6 +13,7 @@ from fedpr.federation import (
     client_rng,
     init_global_model,
     prepare_partition,
+    rounds,
     run_experiment,
     run_round,
     server_weighted_average,
@@ -295,11 +299,19 @@ def test_round_aggregates_prototypes_covering_all_classes():
     assert (protos.contributors >= 1).all()
 
 
+FEDAVG = dict(strategy="fedavg", lam=0.0, eval_inference="softmax")
+
+
+def state_bytes(params, protos):
+    arrays = (params.vector, protos.classes, protos.vectors, protos.contributors)
+    return [a.tobytes() for a in arrays], protos.round_index
+
+
 def test_round_schedule_independence():
     # run_round runs and folds the clients in client-id order, so any order
     # of its clients list gives the same bytes. Round 2 starts from round 1's
     # prototypes, so under fedpr the pull is live.
-    for overrides in ({}, dict(strategy="fedavg", lam=0.0, eval_inference="softmax")):
+    for overrides in ({}, FEDAVG):
         cfg = small_cfg(**overrides)
         train, test, _, params, clients = make_world(cfg)
         assert sum(1 for state in clients if len(state.shard)) >= 3
@@ -311,8 +323,7 @@ def test_round_schedule_independence():
                     assert bool(len(protos)) == (cfg.strategy == "fedpr")
                 new_params, protos, record = run_round(new_params, protos, order, cfg, t, train, test)
                 records.append(record)
-            arrays = (new_params.vector, protos.classes, protos.vectors, protos.contributors)
-            outcomes.append(([a.tobytes() for a in arrays], records))
+            outcomes.append((state_bytes(new_params, protos), records))
         assert outcomes[0] == outcomes[1], cfg.strategy
 
 
@@ -384,24 +395,36 @@ def test_experiment_t1_yields_one_record():
     assert records[0].round_index == 1
 
 
-def test_experiment_repeat_identical():
-    cfg = small_cfg(rounds=3)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    for x, y in zip(a, b):
-        assert x.mean_train_loss == y.mean_train_loss
-        assert x.test_accuracy_softmax == y.test_accuracy_softmax
-        assert x.test_accuracy_prototype == y.test_accuracy_prototype
-
-
 def test_fedavg_reduction_bit_identical_trajectories():
     for seed in (0, 1, 2):
-        base = dict(eval_inference="softmax", master_seed=seed, rounds=3)
-        rec_avg = run_experiment(small_cfg(strategy="fedavg", lam=0.0, **base))
-        rec_pr0 = run_experiment(small_cfg(strategy="fedpr", lam=0.0, **base))
-        for a, b in zip(rec_avg, rec_pr0):
-            assert a.mean_train_loss == b.mean_train_loss
-            assert a.test_accuracy_softmax == b.test_accuracy_softmax
+        runs = []
+        for strategy in ("fedavg", "fedpr"):
+            cfg = small_cfg(strategy=strategy, lam=0.0, eval_inference="softmax", master_seed=seed)
+            train, test, shards, params, _ = make_world(cfg)
+            steps = list(rounds(cfg, train, test, shards, params, GlobalPrototypeSet.empty(0)))
+            losses = [(r.mean_train_loss, r.test_accuracy_softmax) for _, _, r in steps]
+            runs.append((steps[-1][0].vector.tobytes(), losses))
+        assert len(runs[0][1]) == 3
+        assert runs[0] == runs[1], seed
+
+
+@pytest.mark.parametrize("overrides", [{}, FEDAVG], ids=["fedpr", "fedavg"])
+def test_a_run_resumed_after_round_k_gives_the_bits_of_an_unbroken_one(overrides):
+    cfg = small_cfg(**overrides)
+    train, test, shards, params, _ = make_world(cfg)
+    unbroken = list(rounds(cfg, train, test, shards, params, GlobalPrototypeSet.empty(0)))
+    assert len(unbroken) == cfg.rounds == 3
+    for k in (1, cfg.rounds - 1):
+        steps = rounds(cfg, train, test, shards, params, GlobalPrototypeSet.empty(0))
+        head = [next(steps) for _ in range(k)]
+        steps.close()
+        tail = list(rounds(cfg, train, test, shards, *head[-1][:2]))
+        assert [r for _, _, r in head + tail] == [r for _, _, r in unbroken], k
+        assert state_bytes(*tail[-1][:2]) == state_bytes(*unbroken[-1][:2]), k
+    # A set from round T or later leaves nothing to run.
+    final_params, final_protos, _ = unbroken[-1]
+    assert list(rounds(cfg, train, test, shards, final_params, final_protos)) == []
+    assert list(rounds(cfg, train, test, shards, params, GlobalPrototypeSet.empty(cfg.rounds + 1))) == []
 
 
 def test_desk_scale_prototype_beats_fedavg_on_skewed_split():
@@ -428,14 +451,26 @@ def test_accuracies_within_unit_interval():
 
 def test_run_experiment_twice_gives_equal_records():
     # records hold no timings, so two runs compare whole
-    assert run_experiment(small_cfg(rounds=2)) == run_experiment(small_cfg(rounds=2))
+    assert run_experiment(small_cfg(rounds=3)) == run_experiment(small_cfg(rounds=3))
 
 
-def test_progress_gets_each_record_and_its_seconds():
-    seen = []
-    records = run_experiment(small_cfg(rounds=2), progress=lambda r, s: seen.append((r, s)))
+def test_progress_gets_each_record_and_its_seconds(monkeypatch):
+    # A clock that moves 1 s per reading, and 100 s inside each progress
+    # call: a round's seconds must leave out the progress call before it.
+    now, seen = [0.0], []
+
+    def perf_counter():
+        now[0] += 1.0
+        return now[0]
+
+    def progress(record, seconds):
+        seen.append((record, seconds))
+        now[0] += 100.0
+
+    monkeypatch.setattr(federation, "time", SimpleNamespace(perf_counter=perf_counter))
+    records = run_experiment(small_cfg(rounds=3), progress=progress)
     assert [r for r, _ in seen] == records
-    assert all(s >= 0 for _, s in seen)
+    assert [s for _, s in seen] == [1.0, 1.0, 1.0]
 
 
 def test_cnn_on_synthetic_requires_image_geometry():

@@ -7,7 +7,6 @@ The process count is set through ``parallel._usable_cpus``, so a one-CPU
 runner takes the forking path too.
 """
 
-import hashlib
 import os
 import signal
 import time
@@ -19,8 +18,8 @@ from fedpr import federation, nn, parallel
 from fedpr.data import Dataset
 from fedpr.errors import DivergenceError
 from fedpr.prototypes import GlobalPrototypeSet
-from test_federation import small_cfg
-from test_golden import GOLDEN, RUNS
+from test_federation import make_world, small_cfg
+from test_golden import GOLDEN, RUNS, final_state
 
 pytestmark = pytest.mark.skipif(not parallel._CAN_FORK, reason="fedpr forks helpers only on Linux")
 
@@ -38,23 +37,6 @@ def assert_no_helper_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def run(spec: dict):
-    """Final-state sha256 and round records of one run through run_round."""
-    cfg = federation.FederationConfig(**spec).validate()
-    train, test, shards = federation.prepare_partition(cfg)
-    params = federation.init_global_model(cfg, train)
-    protos = GlobalPrototypeSet.empty(0)
-    clients = [federation.ClientState(s.client_id, s) for s in shards]
-    records = []
-    for t in range(1, cfg.rounds + 1):
-        params, protos, record = federation.run_round(params, protos, clients, cfg, t, train, test)
-        records.append(record)
-    h = hashlib.sha256()
-    for array in [a for layer in params.layers for a in (layer.weight, layer.bias)] + list(protos.vectors):
-        h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
-    return h.hexdigest(), records
-
-
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_runs_are_bit_identical_at_every_process_count(name, monkeypatch):
     # A test set over 512 samples gives evaluation two chunks to share.
@@ -63,7 +45,7 @@ def test_runs_are_bit_identical_at_every_process_count(name, monkeypatch):
     results = {}
     for count in PROCESS_COUNTS:
         use_processes(monkeypatch, count)
-        results[count] = run(spec)
+        results[count] = final_state(spec)
         assert_no_helper_left()
     digest, records = results[1]
     if parallel._BLAS_PINNED:
@@ -127,10 +109,8 @@ def test_off_linux_every_call_stays_in_the_caller(monkeypatch):
 
 def test_the_counts_of_a_traced_round_are_complete(monkeypatch):
     # Every loss_and_grad call of the round reaches the replacement.
-    cfg = small_cfg(num_clients=6).validate()
-    train, test, shards = federation.prepare_partition(cfg)
-    params = federation.init_global_model(cfg, train)
-    clients = [federation.ClientState(s.client_id, s) for s in shards]
+    cfg = small_cfg(num_clients=6)
+    train, test, shards, params, clients = make_world(cfg)
     steps = cfg.local_epochs * sum(-(-len(s) // cfg.batch_size) for s in shards)
     calls = []
     real = federation.loss_and_grad
@@ -233,10 +213,8 @@ def world_by_process(monkeypatch):
     """A six-client round at two processes, with the ids of the clients
     that each helper trains (the helper with the lowest id first), found
     by dealing the same costs."""
-    cfg = small_cfg(num_clients=6).validate()
-    train, test, shards = federation.prepare_partition(cfg)
-    params = federation.init_global_model(cfg, train)
-    clients = [federation.ClientState(s.client_id, s) for s in shards]
+    cfg = small_cfg(num_clients=6)
+    train, test, shards, params, clients = make_world(cfg)
     active = [s for s in shards if len(s)]
     use_processes(monkeypatch, 2)
     owners = parallel._fork_map(lambda _: os.getpid(), active, [len(s) for s in active])
@@ -269,10 +247,8 @@ def test_divergence_names_the_lowest_client_across_processes(lower_in, monkeypat
 @pytest.mark.parametrize("count", PROCESS_COUNTS)
 def test_real_divergence_names_the_lowest_client(count, monkeypatch):
     # Every client diverges; each process stops at its first one.
-    cfg = small_cfg(num_clients=6, learning_rate=1e300).validate()
-    train, test, shards = federation.prepare_partition(cfg)
-    params = federation.init_global_model(cfg, train)
-    clients = [federation.ClientState(s.client_id, s) for s in shards]
+    cfg = small_cfg(num_clients=6, learning_rate=1e300)
+    train, test, shards, params, clients = make_world(cfg)
     lowest = min(s.client_id for s in shards if len(s) > cfg.batch_size)
     use_processes(monkeypatch, count)
     with np.errstate(all="ignore"):

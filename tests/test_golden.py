@@ -108,37 +108,30 @@ GOLDEN = {
 }
 
 
-def _update(h, array) -> None:
-    h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+def final_state(spec: dict):
+    """sha256 of one run's final state and its round records, driven
+    through federation.rounds from a fresh model and empty prototypes."""
+    from fedpr import federation
+    from fedpr.prototypes import GlobalPrototypeSet
+
+    cfg = federation.FederationConfig(**spec).validate()
+    train, test, shards = federation.prepare_partition(cfg)
+    params, protos, records = federation.init_global_model(cfg, train), GlobalPrototypeSet.empty(0), []
+    for params, protos, record in federation.rounds(cfg, train, test, shards, params, protos):
+        records.append(record)
+    h = hashlib.sha256()
+    for array in [a for layer in params.layers for a in (layer.weight, layer.bias)] + list(protos.vectors):
+        h.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return h.hexdigest(), records
 
 
 def golden_values() -> dict:
     """Run every configuration in-process and return its hash and records."""
-    from fedpr import federation
-    from fedpr.prototypes import GlobalPrototypeSet
-
     out = {}
     for name, spec in RUNS.items():
-        cfg = federation.FederationConfig(**spec).validate()
-        train, test, shards = federation.prepare_partition(cfg)
-        params = federation.init_global_model(cfg, train)
-        protos = GlobalPrototypeSet.empty(0)
-        clients = [federation.ClientState(s.client_id, s) for s in shards]
-        records = []
-        for t in range(1, cfg.rounds + 1):
-            params, protos, rec = federation.run_round(
-                params, protos, clients, cfg, t, train, test
-            )
-            records.append(
-                [rec.mean_train_loss, rec.test_accuracy_softmax, rec.test_accuracy_prototype]
-            )
-        h = hashlib.sha256()
-        for layer in params.layers:
-            _update(h, layer.weight)
-            _update(h, layer.bias)
-        for vector in protos.class_vectors().values():
-            _update(h, vector)
-        out[name] = {"sha256": h.hexdigest(), "records": records}
+        digest, records = final_state(spec)
+        rows = [[r.mean_train_loss, r.test_accuracy_softmax, r.test_accuracy_prototype] for r in records]
+        out[name] = {"sha256": digest, "records": rows}
     return out
 
 

@@ -3,6 +3,7 @@ value: the function and FederationConfig.validate read the same rule object
 and refuse the same values with the same text."""
 
 import dataclasses
+import json
 import math
 from operator import attrgetter
 
@@ -16,7 +17,7 @@ from fedpr.errors import ConfigError
 from fedpr.evaluation import evaluate_accuracy
 from fedpr.federation import FederationConfig
 from fedpr.nn import OptimizerState, build_mlp2, finite_diff_gradient, loss_and_grad
-from fedpr.prototypes import aggregate_global_prototypes
+from fedpr.prototypes import GlobalPrototypeSet, aggregate_global_prototypes
 
 MLP = build_mlp2(np.random.default_rng(0), 6, 3, hidden=4)
 X, Y = np.zeros((2, 6)), [0, 1]
@@ -129,12 +130,35 @@ WRONG_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("field,owner,call,param,value,message", SHARED_RULES + WRONG_TYPES)
+def _from_json(round_index):
+    return GlobalPrototypeSet.from_json(json.dumps({"round": round_index, "classes": {}}))
+
+
+# Rules that no config field reads: the field is None, and the message
+# names the parameter where a config's would name its field.
+UNSHARED_RULES = [
+    _row(None, "prototypes._ROUND_INDEX", GlobalPrototypeSet.empty, "round_index", -1,
+         "round_index: must be >= 0, got -1"),
+    _row(None, "prototypes._ROUND_INDEX", GlobalPrototypeSet.empty, "round_index", 2.5,
+         "round_index: must be an integer, got 2.5"),
+    _row(None, "prototypes._ROUND_INDEX", GlobalPrototypeSet.empty, "round_index", "x",
+         "round_index: must be an integer, got 'x'"),
+    _row(None, "prototypes._ROUND_INDEX", GlobalPrototypeSet.empty, "round_index", True,
+         "round_index: must be an integer, got True"),
+    _row(None, "prototypes._ROUND_INDEX", _from_json, "round_index", -3, "round_index: must be >= 0, got -3"),
+    _row(None, "prototypes._ROUND_INDEX", lambda v: aggregate_global_prototypes([], round_index=v), "round_index", -2,
+         "round_index: must be >= 0, got -2"),
+]
+
+
+@pytest.mark.parametrize("field,owner,call,param,value,message", SHARED_RULES + WRONG_TYPES + UNSHARED_RULES)
 def test_the_function_and_the_config_refuse_a_value_with_one_text(field, owner, call, param, value, message):
     with pytest.raises(ValueError) as info:
         call(value)
     assert type(info.value) is ValueError
     assert str(info.value) == f"{param} {message.split(': ', 1)[1]}"
+    if field is None:
+        return
     with pytest.raises(ConfigError) as info:
         FederationConfig(**{field: value}).validate()
     assert str(info.value) == message
