@@ -454,6 +454,12 @@ def test_run_experiment_twice_gives_equal_records():
     assert run_experiment(small_cfg(rounds=3)) == run_experiment(small_cfg(rounds=3))
 
 
+def test_experiment_repeat_identical():
+    # the same check under fedavg, whose rounds build no prototypes
+    cfg = small_cfg(rounds=3, **FEDAVG)
+    assert run_experiment(cfg) == run_experiment(cfg)
+
+
 def test_progress_gets_each_record_and_its_seconds(monkeypatch):
     # A clock that moves 1 s per reading, and 100 s inside each progress
     # call: a round's seconds must leave out the progress call before it.
